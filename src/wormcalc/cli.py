@@ -79,7 +79,7 @@ def _resolve_spectrum(argument: str):
     named = sp.registry()
     if argument in named:
         return named[argument]
-    return sp.Spectrum.of_point(ig.parse_point(argument))
+    return sp.Spectrum.of_point(ig.valid_point(ig.parse_coords(argument)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,7 +19,8 @@ disagreement fails the build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import formula as fm
 from .ordinal import ZERO, Ordinal, compare, last_exponent, parse_ordinal, print_ordinal
@@ -33,6 +34,7 @@ __all__ = [
     "print_point",
     "first_violation",
     "is_valid_point",
+    "valid_point",
     "relation_holds",
     "min_point_for_worm",
     "forces_worm",
@@ -93,9 +95,6 @@ class Point:
     def support(self) -> int:
         return len(self.coords)
 
-    def sort_key(self):
-        return self.coords
-
     def __str__(self) -> str:
         return print_point(self)
 
@@ -141,6 +140,14 @@ def is_valid_point(coords: Sequence[Ordinal] | Point) -> bool:
     return first_violation(coords) is None
 
 
+def valid_point(coords: Sequence[Ordinal]) -> Point:
+    """The point with these coordinates; ValueError if they are not a world."""
+    i = first_violation(coords)
+    if i is not None:
+        raise ValueError(f"not a world: coordinate {i + 1} exceeds the last exponent before it")
+    return Point.of(coords)
+
+
 def relation_holds(n: int, p: Point, q: Point) -> bool:
     """p sees q through relation n: coordinates below n agree, coordinate n drops."""
     for i in range(n):
@@ -171,6 +178,11 @@ class FiniteSubmodel:
     Worlds are every valid point with support at most max_index + 1 and all
     coordinates drawn from the universe; edges are the full relations
     restricted to those worlds. Immutable after construction.
+
+    `worlds` is in lexicographic coordinate order, so the worlds agreeing
+    below n form consecutive runs in which coordinate n never decreases. A
+    world's relation-n successors are the earlier classes of its run, and
+    its covers, the arrows `render_dot` draws, the class just before its own.
     """
 
     def __init__(self, universe: Sequence[Ordinal], max_index: int):
@@ -187,16 +199,20 @@ class FiniteSubmodel:
                 )
         self.universe: tuple[Ordinal, ...] = tuple(ordered)
         self.max_index = max_index
-        self.worlds: tuple[Point, ...] = tuple(
-            sorted(self._generate(), key=Point.sort_key)
-        )
+        self.worlds: tuple[Point, ...] = tuple(self._generate())
         self._world_set = frozenset(self.worlds)
         self._successors: dict[tuple[int, Point], tuple[Point, ...]] = {}
+        self._covers: dict[tuple[int, Point], tuple[Point, ...]] = {}
         for n in range(max_index + 1):
-            for p in self.worlds:
-                self._successors[(n, p)] = tuple(
-                    q for q in self.worlds if relation_holds(n, p, q)
-                )
+            for _, run in groupby(self.worlds, key=lambda p: p.coords[:n]):
+                below = previous = ()
+                for _, same in groupby(run, key=lambda p: p.coord(n)):
+                    same = tuple(same)
+                    for p in same:
+                        self._successors[(n, p)] = below
+                        self._covers[(n, p)] = previous
+                    below += same
+                    previous = same
         # exactness is certified only for initial segments of the naturals:
         # there every coordinate beyond the first is forced to zero, so all
         # full-model successors of a world already lie in the fragment
@@ -204,25 +220,19 @@ class FiniteSubmodel:
             u.as_int() for u in self.universe
         ] == list(range(len(self.universe)))
 
-    def _generate(self) -> Iterable[Point]:
-        found: list[Point] = []
-        seen: set[Point] = set()
+    def _generate(self) -> Iterator[Point]:
+        """The root, then depth-first with each prefix before its extensions."""
 
-        def extend(prefix: list[Ordinal]) -> None:
-            point = Point.of(prefix)
-            if point not in seen:
-                seen.add(point)
-                found.append(point)
-            if len(prefix) > self.max_index:
-                return
-            bound = last_exponent(prefix[-1])
-            for u in self.universe:
-                if compare(u, bound) <= 0:
-                    extend(prefix + [u])
+        def extend(prefix: tuple[Ordinal, ...], bound: Ordinal) -> Iterator[Point]:
+            for u in self.universe[1:]:  # the nonzero coordinates, ascending
+                if compare(u, bound) > 0:
+                    break
+                yield Point(prefix + (u,))
+                if len(prefix) < self.max_index:
+                    yield from extend(prefix + (u,), last_exponent(u))
 
-        for u in self.universe:
-            extend([u])
-        return found
+        yield Point((ZERO,))
+        yield from extend((), self.universe[-1])
 
     def successors(self, n: int, p: Point) -> tuple[Point, ...]:
         return self._successors[(n, p)]
@@ -259,15 +269,8 @@ class ForcingResult:
         return self.value
 
 
-def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
-    """Kripke evaluation of a closed formula at a world of the fragment.
-
-    Boxes quantify over the fragment's edges, diamonds existentially; on a
-    witness-complete fragment the answer is exact for the full model,
-    otherwise diamonds are underapproximated and the result says so.
-    """
-    if p not in m:
-        raise PointNotInModelError(f"{p} is not a world of {m!r}")
+def _evaluator(m: FiniteSubmodel, f: fm.Formula):
+    """Check that f's modalities fit m, then return f's truth test on m's worlds."""
     top = fm.max_modality(f)
     if top > m.max_index:
         raise ModalityOutOfRangeError(
@@ -288,7 +291,19 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
                 return any(ev(q, body) for q in m.successors(n, point))
         raise TypeError(f"not a formula: {g!r}")
 
-    return ForcingResult(ev(p, f), m.witness_complete)
+    return lambda p: ev(p, f)
+
+
+def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
+    """Kripke evaluation of a closed formula at a world of the fragment.
+
+    Boxes quantify over the fragment's edges, diamonds existentially; on a
+    witness-complete fragment the answer is exact for the full model,
+    otherwise diamonds are underapproximated and the result says so.
+    """
+    if p not in m:
+        raise PointNotInModelError(f"{p} is not a world of {m!r}")
+    return ForcingResult(_evaluator(m, f)(p), m.witness_complete)
 
 
 def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
@@ -297,13 +312,8 @@ def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
     A False answer on a witness-complete fragment refutes theoremhood in
     the closed fragment; a True answer is only a necessary condition.
     """
-    top = fm.max_modality(f)
-    if top > m.max_index:
-        raise ModalityOutOfRangeError(
-            f"formula mentions [{top}] but the submodel stops at [{m.max_index}]"
-        )
-    value = all(forces(m, p, f).value for p in m.worlds)
-    return ForcingResult(value, m.witness_complete)
+    holds = _evaluator(m, f)
+    return ForcingResult(all(holds(p) for p in m.worlds), m.witness_complete)
 
 
 # --- DOT rendering ------------------------------------------------------
@@ -317,16 +327,6 @@ def _edge_style(n: int) -> str:
     return f' [color="{color}"]'
 
 
-def _reduce(edges: list[tuple[Point, Point]]) -> list[tuple[Point, Point]]:
-    """Transitive reduction of a strict order: keep covering pairs only."""
-    present = set(edges)
-    return [
-        (p, q)
-        for (p, q) in edges
-        if not any((p, r) in present and (r, q) in present for r in {e[1] for e in present if e[0] == p})
-    ]
-
-
 def render_dot(
     m: FiniteSubmodel,
     labels: Mapping[Point, str] | None = None,
@@ -338,6 +338,7 @@ def render_dot(
     (double for 1, triple for 2, and so on). By default only covering
     arrows of each relation are drawn.
     """
+    arrows = m._covers if reduce_transitive else m._successors
     labels = labels or {}
     index = {p: i for i, p in enumerate(m.worlds)}
     lines = ["digraph ignatiev {", "  node [shape=box];"]
@@ -347,10 +348,8 @@ def render_dot(
             text = f"{labels[p]}\\n{text}"
         lines.append(f'  n{index[p]} [label="{text}"];')
     for n in range(m.max_index + 1):
-        edges = m.edges(n)
-        if reduce_transitive:
-            edges = _reduce(edges)
-        for p, q in sorted(edges, key=lambda e: (index[e[0]], index[e[1]])):
-            lines.append(f"  n{index[p]} -> n{index[q]}{_edge_style(n)};")
+        for p in m.worlds:
+            for q in arrows[(n, p)]:
+                lines.append(f"  n{index[p]} -> n{index[q]}{_edge_style(n)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -190,7 +190,7 @@ def _parse_ordinal(cur: Cursor) -> Ordinal:
     if cur.peek() == "0":
         mark = cur.pos
         cur.pos += 1
-        if cur.peek().isdigit():
+        if cur.at_digit():
             raise ParseError("numbers may not have leading zeros", mark)
         return ZERO
     parsed = [_parse_term(cur)]
@@ -220,7 +220,7 @@ def _parse_term(cur: Cursor) -> tuple[tuple[Ordinal, int], int]:
 
 def _parse_atom(cur: Cursor):
     """Returns (exponent Ordinal, False) for a w-power, or (int, True) for a numeral."""
-    if cur.peek().isdigit():
+    if cur.at_digit():
         return _nonzero_nat(cur), True
     if cur.try_eat("w") or cur.try_eat("ω"):
         if cur.try_eat("^"):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# str.isdigit would also accept other scripts' digits, and superscripts
+_ASCII_DIGITS = frozenset("0123456789")
+
 
 class ParseError(ValueError):
     """Syntax or canonicity error, carrying the 0-based input position."""
@@ -25,6 +28,9 @@ class Cursor:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def at_digit(self) -> bool:
+        return self.peek() in _ASCII_DIGITS
+
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
 
@@ -45,7 +51,7 @@ class Cursor:
     def natural(self) -> int:
         """Consume a decimal natural (zero allowed; callers reject as needed)."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _ASCII_DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a number", start)

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .ignatiev import Point, min_point_for_worm, print_point
+from .ignatiev import Point, min_point_for_worm, print_point, valid_point
 from .ordinal import from_int, omega_power, print_ordinal
 from .worm import (
     TOP,
@@ -85,14 +85,15 @@ class TheoryPresentation:
     def from_json(cls, data: Union[str, dict]) -> "TheoryPresentation":
         if isinstance(data, str):
             data = json.loads(data)
-        if not isinstance(data, dict) or "entries" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
             raise ValueError('presentation JSON needs an "entries" object')
         entries = {}
         for key, text in data["entries"].items():
-            level = int(key)
-            if level < 0:
+            if not (str(key).isascii() and str(key).isdigit()):
                 raise ValueError(f"level {key!r} must be a natural number")
-            entries[level] = parse_worm(text)
+            if not isinstance(text, str):
+                raise ValueError(f"the worm at level {key} must be a string")
+            entries[int(key)] = parse_worm(text)
         name = data.get("name")
         return cls.of(entries, name)
 
@@ -135,8 +136,7 @@ class Spectrum:
             data = json.loads(data)
         from .ordinal import parse_ordinal
 
-        point = Point.of(parse_ordinal(text) for text in data["coords"])
-        return cls.of_point(point)
+        return cls.of_point(valid_point([parse_ordinal(text) for text in data["coords"]]))
 
     def __repr__(self):
         return f"Spectrum({print_point(self.point)})"

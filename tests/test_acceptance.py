@@ -8,6 +8,7 @@ are exhaustive over the stated families.
 import itertools
 from collections import defaultdict
 from functools import cmp_to_key
+from pathlib import Path
 
 import samples
 from wormcalc.formula import axiom_instances, formula_of_worm
@@ -32,6 +33,7 @@ from wormcalc.spectrum import (
 )
 from wormcalc.worm import Worm, ordinal_of, parse_worm, promote, worm_of_ordinal
 
+GOLDEN = Path(__file__).parent / "golden"
 WORM_FAMILY = samples.all_worms(5, 3)  # 1365 worms
 RANKS = {a: ordinal_of(a) for a in WORM_FAMILY}
 
@@ -189,16 +191,14 @@ def test_kripke_agreement_and_axiom_validity():
 
 def test_dot_rendering_matches_golden():
     chain = render_dot(enumerate_submodel(finite_universe(3), 2))
-    with open("tests/golden/chain_finite3_idx2.dot", "r", encoding="utf-8") as handle:
-        assert chain == handle.read()
+    assert chain == (GOLDEN / "chain_finite3_idx2.dot").read_text(encoding="utf-8")
     isigma1 = Point.of([parse_ordinal("w^w"), parse_ordinal("w"), from_int(1)])
     pra = Point.of([parse_ordinal("w^w"), parse_ordinal("w"), ZERO])
     universe = [ZERO, from_int(1), parse_ordinal("w"), parse_ordinal("w^w")]
     fragment = render_dot(
         enumerate_submodel(universe, 2), labels={isigma1: "ISigma1", pra: "PRA"}
     )
-    with open("tests/golden/labeled_fragment_idx2.dot", "r", encoding="utf-8") as handle:
-        assert fragment == handle.read()
+    assert fragment == (GOLDEN / "labeled_fragment_idx2.dot").read_text(encoding="utf-8")
     assert 'label="ISigma1\\n<w^w, w, 1>"' in fragment
     assert 'label="PRA\\n<w^w, w>"' in fragment
     assert 'color="black:invis:black"' in fragment

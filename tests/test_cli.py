@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wormcalc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -95,8 +98,7 @@ def test_model_subcommand_matches_golden(tmp_path, capsys):
     )
     assert code == 0
     assert "worlds=4" in err
-    with open("tests/golden/chain_finite3_idx2.dot", "r", encoding="utf-8") as handle:
-        assert out_path.read_text() == handle.read()
+    assert out_path.read_text() == (GOLDEN / "chain_finite3_idx2.dot").read_text(encoding="utf-8")
 
 
 def test_model_subcommand_labels_match_golden(capsys):
@@ -113,8 +115,7 @@ def test_model_subcommand_labels_match_golden(capsys):
         "<w^w, w>=PRA",
     )
     assert code == 0
-    with open("tests/golden/labeled_fragment_idx2.dot", "r", encoding="utf-8") as handle:
-        assert out == handle.read().rstrip("\n")
+    assert out == (GOLDEN / "labeled_fragment_idx2.dot").read_text(encoding="utf-8").rstrip("\n")
     assert 'label="ISigma1\\n<w^w, w, 1>"' in out
     assert 'label="PRA\\n<w^w, w>"' in out
 
@@ -154,13 +155,27 @@ def test_valid_subcommand(capsys):
 
 
 def test_parse_errors_exit_2(capsys):
-    assert run(capsys, "o", "-n", "0", "1..2")[0] == 2
-    assert run(capsys, "worm-of", "0", "w^2+w^5")[0] == 2
-    assert run(capsys, "point-check", "w, 1")[0] == 2
-    assert run(capsys, "normalize", "/nonexistent/path.json")[0] == 2
-    assert run(capsys, "normalize", '{"entries":')[0] == 2
-    assert run(capsys, "model", "--universe", "banana", "--max-index", "1")[0] == 2
-    assert run(capsys, "forces", "--universe", "finite:1", "<0>", "[3]T", "--max-index", "1")[0] == 2
+    for argv in (
+        ("o", "-n", "0", "1..2"),
+        ("worm-of", "0", "w^2+w^5"),
+        ("point-check", "w, 1"),
+        ("normalize", "/nonexistent/path.json"),
+        ("normalize", '{"entries":'),
+        ("model", "--universe", "banana", "--max-index", "1"),
+        ("forces", "--universe", "finite:1", "<0>", "[3]T", "--max-index", "1"),
+        # malformed presentation shapes, non-ASCII digits, coordinates that are no world
+        ("spectrum", '{"entries":["0"]}'),
+        ("spectrum", '{"entries":null}'),
+        ("spectrum", '{"entries":{"0":1}}'),
+        ("o", "١"),
+        ("o", "²"),
+        ("worm-of", "0", "w*١"),
+        ("forces", "--universe", "finite:1", "<1>", "<١>T"),
+        ("conserve", "<1, 5>", "PRA"),
+        ("conserve", "PRA", "<w, w>"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
 
 
 def test_usage_error_exit_2():

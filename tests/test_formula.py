@@ -39,7 +39,7 @@ def test_parse_precedence():
 
 
 def test_parse_errors_carry_position():
-    for text in ["", "T &", "[T", "<1T", "(T", "T)", "G", "T -> "]:
+    for text in ["", "T &", "[T", "<1T", "(T", "T)", "G", "T -> ", "<١>T", "[²]F"]:
         with pytest.raises(ParseError):
             parse_formula(text)
 

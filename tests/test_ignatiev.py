@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from wormcalc.ignatiev import (
     render_dot,
     validity_check,
 )
-from wormcalc.ordinal import ZERO, compare, from_int, omega_power, parse_ordinal
+from wormcalc.ordinal import ZERO, compare, from_int, last_exponent, omega_power, parse_ordinal
 from wormcalc.worm import TOP, Worm, head, parse_worm, remainder
 
 W = parse_ordinal("w")
@@ -235,3 +236,75 @@ def test_render_dot_deterministic():
     m = enumerate_submodel([W_TO_W, ZERO, W, from_int(1)], 2)
     again = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
     assert render_dot(m) == render_dot(again)
+
+
+# --- structural relations against their definitions ----------------------
+
+CATALOG = ["1", "2", "3", "w", "w+1", "w*2", "w*2+1", "w^2", "w^2+w", "w^2*2", "w^w", "w^w+1", "w^(w+1)", "w^w^w"]
+
+
+def closed_universe(texts):
+    universe = {ZERO}
+    for text in texts:
+        x = parse_ordinal(text)
+        while x not in universe:
+            universe.add(x)
+            x = last_exponent(x)
+    return sorted(universe)
+
+
+def suite_fragments():
+    """Every fragment the suite builds, then seeded branching universes."""
+    for k in range(6):
+        for max_index in range(4):
+            yield finite_universe(k), max_index
+    yield finite_universe(1), 17
+    yield [ZERO, from_int(1), W, parse_ordinal("w+1")], 1
+    yield [ZERO, from_int(1), W, W_TO_W], 2
+    rng = random.Random(2)
+    for _ in range(40):
+        universe = closed_universe(rng.sample(CATALOG, rng.randint(1, 5)))
+        for max_index in range(4):
+            yield universe, max_index
+
+
+def transitive_reduction(edges):
+    """Covering pairs of a strict order by brute force, O(E^2)."""
+    present = set(edges)
+    return [
+        (p, q)
+        for (p, q) in edges
+        if not any((p, r) in present and (r, q) in present for r in {e[1] for e in present if e[0] == p})
+    ]
+
+
+def drawn_arrows(dot):
+    """(relation, source, target) per arrow line; relation n has n `:invis:`."""
+    out = []
+    for line in dot.splitlines():
+        if " -> " in line:
+            left, right = line.strip().rstrip(";").split(" -> ")
+            out.append((line.count(":invis:"), int(left[1:]), int(right.split(" ")[0][1:])))
+    return out
+
+
+def test_structural_relations_match_definitions():
+    for universe, max_index in suite_fragments():
+        m = enumerate_submodel(universe, max_index)
+        assert list(m.worlds) == sorted(set(m.worlds), key=lambda p: p.coords)
+        if len(universe) ** (max_index + 1) <= 4096:
+            every = {
+                Point.of(c)
+                for c in itertools.product(universe, repeat=max_index + 1)
+                if first_violation(c) is None
+            }
+            assert set(m.worlds) == every
+        index = {p: i for i, p in enumerate(m.worlds)}
+        covers, full = [], []
+        for n in range(max_index + 1):
+            for p in m.worlds:
+                assert m.successors(n, p) == tuple(q for q in m.worlds if relation_holds(n, p, q))
+            for edges, into in ((transitive_reduction(m.edges(n)), covers), (m.edges(n), full)):
+                into.extend(sorted((n, index[p], index[q]) for p, q in edges))
+        assert drawn_arrows(render_dot(m)) == covers
+        assert drawn_arrows(render_dot(m, reduce_transitive=False)) == full

@@ -128,7 +128,8 @@ def test_round_trip_text(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["", "w^2+w^2", "1+2", "w+w", "w*0", "0*2", "3*2", "w^0", "w++1", "w^", "01", "w*0 1"]
+    "text",
+    ["", "w^2+w^2", "1+2", "w+w", "w*0", "0*2", "3*2", "w^0", "w++1", "w^", "01", "w*0 1", "١", "²", "w*١", "w^²", "0١"],
 )
 def test_rejects_bad_text(text):
     with pytest.raises(ParseError):

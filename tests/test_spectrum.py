@@ -65,7 +65,16 @@ def test_presentation_json_round_trip():
     named = TheoryPresentation.from_json('{"name":"demo","entries":{"2":"2"}}')
     assert named.name == "demo"
     assert named.to_json()["name"] == "demo"
-    for bad in ("[]", '{"entries":{"-1":"T"}}', '{"entries":{"0":"banana"}}'):
+    for bad in (
+        "[]",
+        '{"entries":{"-1":"T"}}',
+        '{"entries":{"0":"banana"}}',
+        '{"entries":["0"]}',
+        '{"entries":null}',
+        '{"entries":{"0":1}}',
+        '{"entries":{"x":"T"}}',
+        '{"entries":{"١":"T"}}',
+    ):
         with pytest.raises((ValueError,)):
             TheoryPresentation.from_json(bad)
 
@@ -106,6 +115,8 @@ def test_spectrum_json():
     s = normalize(TheoryPresentation.from_json('{"entries":{"0":"0.1","1":"1"}}'))
     assert s.to_json() == {"coords": ["w*2", "1"], "worms": ["1.0.1", "1"]}
     assert Spectrum.from_json(s.to_json()) == s
+    with pytest.raises(ValueError, match="not a world"):
+        Spectrum.from_json({"coords": ["1", "5"]})
 
 
 def test_conservation_examples():

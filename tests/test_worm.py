@@ -82,7 +82,7 @@ def test_parse_print():
     assert print_worm(Worm((2, 1)), diamonds=True) == "<2><1>T"
     assert print_worm(TOP) == "T"
     assert print_worm(TOP, diamonds=True) == "T"
-    for text in ["", "2.", ".1", "2..1", "<1>", "T.1", "<01>T", "02"]:
+    for text in ["", "2.", ".1", "2..1", "<1>", "T.1", "<01>T", "02", "١", "²", "1.²", "<١>T"]:
         with pytest.raises(ParseError):
             parse_worm(text)
 
