@@ -16,7 +16,7 @@ from . import formula as fm
 from . import ignatiev as ig
 from . import spectrum as sp
 from .ordinal import from_int, last_exponent, parse_ordinal, print_ordinal
-from .parsing import ParseError
+from .parsing import Cursor, ParseError
 from .worm import (
     compare_worms,
     head,
@@ -42,6 +42,14 @@ def _emit(args, text: str, payload: dict) -> None:
     print(json.dumps(payload) if args.json else text)
 
 
+def natural(text: str) -> int:
+    """An ASCII decimal natural number; int() also takes signs, "_" and other scripts' digits."""
+    cur = Cursor(text)
+    value = cur.natural()
+    cur.expect_end()
+    return value
+
+
 def _read_presentation(argument: str) -> sp.TheoryPresentation:
     text = argument
     if not argument.lstrip().startswith("{"):
@@ -52,9 +60,7 @@ def _read_presentation(argument: str) -> sp.TheoryPresentation:
 
 def _parse_universe(text: str) -> list:
     if text.startswith("finite:"):
-        k = int(text.split(":", 1)[1])
-        if k < 0:
-            raise ValueError("finite:<k> needs a natural k")
+        k = natural(text.split(":", 1)[1])
         return [from_int(i) for i in range(k + 1)]
     ordinals = {parse_ordinal(part) for part in text.split(",")}
     ordinals.add(from_int(0))
@@ -70,9 +76,9 @@ def _parse_universe(text: str) -> list:
 
 
 def _spectrum_payload(s: sp.Spectrum, args) -> tuple[str, dict]:
-    worms = " ".join(print_worm(w) for w in s.worms)
-    text = f"{_point_text(s.point, args)} worms: {worms}"
-    return text, s.to_json()
+    payload = s.to_json()
+    text = f"{_point_text(s.point, args)} worms: {' '.join(payload['worms'])}"
+    return text, payload
 
 
 def _resolve_spectrum(argument: str):
@@ -109,24 +115,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("o", parents=[common], help="ordinal denoted by a worm at a level")
-    p.add_argument("-n", "--level", type=int, default=0)
+    p.add_argument("-n", "--level", type=natural, default=0)
     p.add_argument("worm")
     p.set_defaults(handler=_cmd_ordinal)
 
     p = sub.add_parser("compare", parents=[common], help="compare two worms at a level")
-    p.add_argument("-n", "--level", type=int, default=0)
+    p.add_argument("-n", "--level", type=natural, default=0)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(handler=_cmd_compare)
 
     for name, title in (("head", "leading block at a level"), ("rem", "what the head leaves")):
         p = sub.add_parser(name, parents=[common], help=title)
-        p.add_argument("-n", "--level", type=int, default=0)
+        p.add_argument("-n", "--level", type=natural, default=0)
         p.add_argument("worm")
         p.set_defaults(handler=_cmd_head if name == "head" else _cmd_rem)
 
     p = sub.add_parser("worm-of", parents=[common], help="canonical worm for an ordinal")
-    p.add_argument("level", type=int)
+    p.add_argument("level", type=natural)
     p.add_argument("ordinal")
     p.set_defaults(handler=_cmd_worm_of)
 
@@ -153,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model", parents=[common], help="enumerate a finite fragment as DOT")
     p.add_argument("--universe", required=True, help="finite:<k> or a comma-separated ordinal list")
-    p.add_argument("--max-index", type=int, default=2)
+    p.add_argument("--max-index", type=natural, default=2)
     p.add_argument("--dot", help="write DOT here instead of stdout")
     p.add_argument("--no-reduce", action="store_true", help="draw all arrows, not only covers")
     p.add_argument(
@@ -167,14 +173,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forces", parents=[common], help="evaluate a formula at a world")
     p.add_argument("--universe", required=True)
-    p.add_argument("--max-index", type=int, default=None)
+    p.add_argument("--max-index", type=natural, default=None)
     p.add_argument("point")
     p.add_argument("formula")
     p.set_defaults(handler=_cmd_forces)
 
     p = sub.add_parser("valid", parents=[common], help="check a formula at every world")
     p.add_argument("--universe", required=True)
-    p.add_argument("--max-index", type=int, default=None)
+    p.add_argument("--max-index", type=natural, default=None)
     p.add_argument("formula")
     p.set_defaults(handler=_cmd_valid)
 
@@ -208,8 +214,6 @@ def _cmd_rem(args) -> int:
 
 
 def _cmd_worm_of(args) -> int:
-    if args.level < 0:
-        raise ValueError("level must be a natural number")
     result = worm_of_ordinal(parse_ordinal(args.ordinal), args.level)
     _emit(args, print_worm(result), {"worm": print_worm(result)})
     return 0

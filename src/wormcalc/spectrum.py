@@ -16,11 +16,11 @@ which the two points still agree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .ignatiev import Point, min_point_for_worm, print_point, valid_point
-from .ordinal import from_int, omega_power, print_ordinal
+from .ordinal import from_int, omega_power, parse_ordinal, print_ordinal
 from .worm import (
     TOP,
     Worm,
@@ -104,20 +104,24 @@ class TheoryPresentation:
 
 @dataclass(frozen=True, repr=False)
 class Spectrum:
-    """A world of the universal model together with its canonical worm view.
+    """A theory's spectrum: a world of the universal model.
 
-    The worm at position n denotes coordinate n at level n. Two spectra are
-    the same theory exactly when their points coincide; worms are a
-    derived, canonical rendering, never compared as strings.
+    Coordinate n is the theory's Pi_{n+1} ordinal, and two spectra are the
+    same theory exactly when their points coincide. `worms` is a view
+    computed from the point on each access: the worm at position n is the
+    canonical worm of coordinate n at level n.
     """
 
     point: Point
-    worms: tuple[Worm, ...] = field(compare=False)
 
     @classmethod
     def of_point(cls, p: Point) -> "Spectrum":
-        worms = tuple(worm_of_ordinal(p.coord(n), n) for n in range(p.support))
-        return cls(p, worms)
+        return cls(p)
+
+    @property
+    def worms(self) -> tuple[Worm, ...]:
+        p = self.point
+        return tuple(worm_of_ordinal(p.coord(n), n) for n in range(p.support))
 
     def as_presentation(self, name: str | None = None) -> TheoryPresentation:
         return TheoryPresentation.of(
@@ -134,9 +138,10 @@ class Spectrum:
     def from_json(cls, data: Union[str, dict]) -> "Spectrum":
         if isinstance(data, str):
             data = json.loads(data)
-        from .ordinal import parse_ordinal
-
-        return cls.of_point(valid_point([parse_ordinal(text) for text in data["coords"]]))
+        coords = data.get("coords") if isinstance(data, dict) else None
+        if not isinstance(coords, list) or not all(isinstance(text, str) for text in coords):
+            raise ValueError('spectrum JSON needs a "coords" list of ordinal strings')
+        return cls.of_point(valid_point([parse_ordinal(text) for text in coords]))
 
     def __repr__(self):
         return f"Spectrum({print_point(self.point)})"
@@ -166,7 +171,7 @@ def normalize_presentation(t: TheoryPresentation) -> tuple[Worm, ...]:
     worms = [head(t.worm_at(n), n) for n in range(top + 1)]
     for n in range(top - 1, -1, -1):
         upper = worms[n + 1]
-        if compare_worms(head(worms[n], n + 1), upper, n + 1) < 0:
+        if compare_worms(worms[n], upper, n + 1) < 0:
             worms[n] = concat(upper, remainder(worms[n], n + 1))
     return tuple(worms)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ordinal import ONE, ZERO, Ordinal, add, compare, hyperexp, omega_power
+from .ordinal import ONE, ZERO, Ordinal, add, compare, hyperexp
 from .parsing import Cursor, ParseError
 
 __all__ = [
@@ -58,30 +58,27 @@ class Worm:
 TOP = Worm()
 
 
+def _cut(letters: tuple[int, ...], n: int) -> int:
+    """Length of the maximal leading block of letters that are all >= n."""
+    cut = 0
+    while cut < len(letters) and letters[cut] >= n:
+        cut += 1
+    return cut
+
+
 def head(a: Worm, n: int) -> Worm:
     """The maximal leading block of letters that are all >= n."""
-    cut = 0
-    while cut < len(a.letters) and a.letters[cut] >= n:
-        cut += 1
-    return Worm(a.letters[:cut])
+    return Worm(a.letters[: _cut(a.letters, n)])
 
 
 def remainder(a: Worm, n: int) -> Worm:
     """What head(a, n) leaves behind: empty, or starting with a letter < n."""
-    cut = 0
-    while cut < len(a.letters) and a.letters[cut] >= n:
-        cut += 1
-    return Worm(a.letters[cut:])
+    return Worm(a.letters[_cut(a.letters, n) :])
 
 
 def promote(a: Worm, n: int) -> Worm:
     """Shift every letter up by n."""
     return Worm(tuple(letter + n for letter in a.letters))
-
-
-def _demote(a: Worm, n: int) -> Worm:
-    # total only when n <= min letter; internal helper
-    return Worm(tuple(letter - n for letter in a.letters))
 
 
 def concat(a: Worm, b: Worm) -> Worm:
@@ -94,18 +91,17 @@ def in_worms(a: Worm, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _rank(a: Worm) -> Ordinal:
-    if not a.letters:
+def _rank(letters: tuple[int, ...], base: int) -> Ordinal:
+    # every letter is >= base, and base plays the part of the letter 0
+    if not letters:
         return ZERO
-    m = min(a.letters)
-    if m > 0:
-        return hyperexp(m, _rank(_demote(a, m)))
-    # split at the leftmost minimal letter; any split point gives the same
+    m = min(letters)
+    if m > base:
+        return hyperexp(m - base, _rank(letters, m))
+    # split at the leftmost base letter; any split point gives the same
     # value, which the test suite certifies exhaustively
-    i = a.letters.index(0)
-    before = Worm(a.letters[:i])
-    after = Worm(a.letters[i + 1 :])
-    return add(add(_rank(after), ONE), _rank(before))
+    i = letters.index(base)
+    return add(add(_rank(letters[i + 1 :], base), ONE), _rank(letters[:i], base))
 
 
 def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
@@ -114,13 +110,11 @@ def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
     At level 0 this is the recursion: the empty worm is 0; a worm split
     around a 0-letter as B0A is worth rank(A) + 1 + rank(B); and shifting
     all letters up by n applies the n-th hyperexponential. At level n the
-    rank only sees the level-n head, demoted back down to level 0.
+    rank only sees the level-n head, read with n in the part of 0.
     """
     if level < 0:
         raise ValueError("level must be a natural number")
-    if level == 0:
-        return _rank(a)
-    return _rank(_demote(head(a, level), level))
+    return _rank(a.letters[: _cut(a.letters, level)], level)
 
 
 def compare_worms(a: Worm, b: Worm, level: int = 0) -> int:
@@ -135,36 +129,31 @@ def compare_worms(a: Worm, b: Worm, level: int = 0) -> int:
 def worm_of_ordinal(x: Ordinal, level: int = 0) -> Worm:
     """A canonical worm denoting x at the given level; inverts ordinal_of.
 
-    The level-0 construction peels the normal form from the right: a
-    successor y+1 becomes 0 followed by the worm for y; a single term w^e
-    becomes the worm for e shifted up one level; any other ordinal splits
-    off its final w^e term as (worm of w^e) 0 (worm of the rest).
+    Reading the normal form from its smallest term up, a finite part c
+    becomes c zeros in front, and each copy of a term w^e with e > 0
+    becomes the worm of e shifted up one level, the copies joined by 0s;
+    at level n every letter is shifted up by n.
     """
     if level < 0:
         raise ValueError("level must be a natural number")
-    return promote(_worm_of(x), level)
+    return Worm(_worm_of(x, level))
 
 
-def _worm_of(x: Ordinal) -> Worm:
-    if x.is_zero:
-        return TOP
-    exponent, coefficient = x.terms[-1]
-    if exponent.is_zero:
-        # successor: strip one from the final finite part
-        return concat(Worm((0,)), _worm_of(_drop_last_unit(x)))
-    if len(x.terms) == 1 and coefficient == 1:
-        # additively indecomposable: w^e comes from promoting the worm of e
-        return promote(_worm_of(exponent), 1)
-    rest = _drop_last_unit(x)
-    return concat(_worm_of(omega_power(exponent)), concat(Worm((0,)), _worm_of(rest)))
-
-
-def _drop_last_unit(x: Ordinal) -> Ordinal:
-    """x with one copy of its final term w^e removed (coefficient decremented)."""
-    exponent, coefficient = x.terms[-1]
-    if coefficient > 1:
-        return Ordinal(x.terms[:-1] + ((exponent, coefficient - 1),))
-    return Ordinal(x.terms[:-1])
+def _worm_of(x: Ordinal, base: int) -> tuple[int, ...]:
+    # the canonical worm of x with base in the part of the letter 0
+    letters: list[int] = []
+    copies = 0
+    for exponent, coefficient in reversed(x.terms):
+        if exponent.is_zero:
+            letters += [base] * coefficient
+            continue
+        piece = _worm_of(exponent, base + 1)
+        for _ in range(coefficient):
+            if copies:
+                letters.append(base)
+            letters += piece
+            copies += 1
+    return tuple(letters)
 
 
 # --- text form ---------------------------------------------------------

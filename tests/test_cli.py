@@ -173,9 +173,32 @@ def test_parse_errors_exit_2(capsys):
         ("forces", "--universe", "finite:1", "<1>", "<١>T"),
         ("conserve", "<1, 5>", "PRA"),
         ("conserve", "PRA", "<w, w>"),
+        ("model", "--universe", "finite:١"),
+        ("model", "--universe", "finite:-1"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err.count("\n")) == (2, "", 1), argv
+
+
+def test_integer_arguments_are_ascii_naturals(capsys):
+    # argparse refuses a bad value with SystemExit(2) and a usage line
+    for argv in (
+        ("o", "-n", "١", "1"),
+        ("o", "-n", "+1", "1"),
+        ("head", "-n", "-1", "0.1"),
+        ("compare", "-n", "1_0", "1", "2"),
+        ("worm-of", "-1", "w"),
+        ("model", "--universe", "finite:2", "--max-index", "-1"),
+        ("valid", "--universe", "finite:1", "--max-index", "²", "<0>T"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert (info.value.code, capsys.readouterr().out) == (2, ""), argv
+
+
+def test_worm_of_large_finite_ordinal(capsys):
+    code, out, _ = run(capsys, "worm-of", "0", "5000")
+    assert (code, out) == (0, ".".join(["0"] * 5000))
 
 
 def test_usage_error_exit_2():

@@ -25,6 +25,7 @@ from wormcalc.worm import (
     ordinal_of,
     parse_worm,
     remainder,
+    worm_of_ordinal,
 )
 
 W = parse_ordinal("w")
@@ -117,6 +118,9 @@ def test_spectrum_json():
     assert Spectrum.from_json(s.to_json()) == s
     with pytest.raises(ValueError, match="not a world"):
         Spectrum.from_json({"coords": ["1", "5"]})
+    for bad in ({}, {"coords": None}, {"coords": [1]}):
+        with pytest.raises(ValueError, match="coords"):
+            Spectrum.from_json(bad)
 
 
 def test_conservation_examples():
@@ -138,9 +142,11 @@ def test_registry():
 
 
 def test_spectra_compare_by_point_only():
-    a = Spectrum.of_point(Point.of([W]))
-    b = Spectrum(Point.of([W]), (parse_worm("1.0"),))  # non-canonical worm view
-    assert a == b
+    p = Point.of([W_TO_W, W, from_int(1)])
+    assert Spectrum(p) == Spectrum.of_point(p)
+    # the worm view is derived from the point, so it is always the canonical one
+    assert Spectrum(p).worms == tuple(worm_of_ordinal(p.coord(n), n) for n in range(3))
+    assert Spectrum(p).worms == (parse_worm("2"),) * 3
 
 
 def test_normalize_outputs_are_valid_points():

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 
 import samples
-from wormcalc.ordinal import OMEGA, ONE, ZERO, add, compare, hyperexp, parse_ordinal
+from wormcalc.ordinal import (
+    OMEGA,
+    ONE,
+    ZERO,
+    Ordinal,
+    add,
+    compare,
+    from_int,
+    hyperexp,
+    omega_power,
+    parse_ordinal,
+)
 from wormcalc.parsing import ParseError
 from wormcalc.worm import (
     TOP,
@@ -143,6 +154,44 @@ def test_round_trip_through_ordinals():
             assert ordinal_of(worm_of_ordinal(x, n), n) == x
     for x in samples.ordinal_sample():
         assert ordinal_of(worm_of_ordinal(x)) == x
+
+
+def _worm_of_oracle(x: Ordinal) -> Worm:
+    """The canonical worm by the right-to-left recursion on the normal form:
+    a successor y+1 is 0 followed by the worm of y, a single term w^e is the
+    worm of e promoted once, and any other ordinal is (worm of its final
+    term w^e) 0 (worm of the rest)."""
+    if x.is_zero:
+        return TOP
+    exponent, coefficient = x.terms[-1]
+    if exponent.is_zero:
+        return concat(Worm((0,)), _worm_of_oracle(_drop_last_unit(x)))
+    if len(x.terms) == 1 and coefficient == 1:
+        return promote(_worm_of_oracle(exponent), 1)
+    rest = _drop_last_unit(x)
+    return concat(_worm_of_oracle(omega_power(exponent)), concat(Worm((0,)), _worm_of_oracle(rest)))
+
+
+def _drop_last_unit(x: Ordinal) -> Ordinal:
+    """x with one copy of its final term w^e removed (coefficient decremented)."""
+    exponent, coefficient = x.terms[-1]
+    if coefficient > 1:
+        return Ordinal(x.terms[:-1] + ((exponent, coefficient - 1),))
+    return Ordinal(x.terms[:-1])
+
+
+def test_worm_of_ordinal_matches_recursive_oracle():
+    ranks = {ordinal_of(a) for a in samples.all_worms(5, 3)}
+    for x in list(ranks) + samples.ordinal_sample():
+        expected = _worm_of_oracle(x)
+        for n in range(4):
+            assert worm_of_ordinal(x, n) == promote(expected, n), (x, n)
+
+
+def test_worm_of_large_finite_ordinal():
+    # one letter per unit, built without one recursion level per unit
+    assert worm_of_ordinal(from_int(5000)) == Worm((0,) * 5000)
+    assert worm_of_ordinal(from_int(5000), 2) == Worm((2,) * 5000)
 
 
 def test_worm_of_ordinal_lands_in_level():
