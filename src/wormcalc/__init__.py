@@ -55,7 +55,6 @@ from .spectrum import (
     TheoryPresentation,
     conservation_level,
     normalize,
-    normalize_presentation,
     registry,
     spectrum_of_worm,
 )

@@ -59,8 +59,10 @@ def _read_presentation(argument: str) -> sp.TheoryPresentation:
 
 
 def _parse_universe(text: str) -> list:
-    if text.startswith("finite:"):
-        k = natural(text.split(":", 1)[1])
+    cur = Cursor(text)
+    if cur.try_eat("finite:"):
+        k = cur.natural()
+        cur.expect_end()
         return [from_int(i) for i in range(k + 1)]
     ordinals = {parse_ordinal(part) for part in text.split(",")}
     ordinals.add(from_int(0))
@@ -101,6 +103,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, exit 2; subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON on stdout")
@@ -108,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ascii", action="store_true", help="grammar-form ASCII output (default is unicode)"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wormcalc",
         description="Worm calculus, ordinal arithmetic and theory spectra",
     )

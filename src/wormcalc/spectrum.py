@@ -4,10 +4,10 @@ A presentation assigns to finitely many levels n a worm driving the level-n
 progression over the fixed base theory; absent levels mean the stage-0
 progression, i.e. the base itself. Normalization collapses any presentation
 to the unique world of the universal model whose coordinates are the
-per-level proof-theoretic ordinals of the presented theory: a single
-top-down pass replaces the worm at level n whenever the level above already
-proves more, by prefixing that stronger worm onto the part of level n that
-the level above cannot see.
+per-level proof-theoretic ordinals of the presented theory. It ranks each
+stored worm at its level and then restores the world condition
+alpha_{n+1} <= l(alpha_n), where l is the last exponent, in one top-down
+pass over the coordinates.
 
 Conservation between two theories reads off directly: the largest level at
 which the two points still agree.
@@ -20,26 +20,16 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .ignatiev import Point, min_point_for_worm, print_point, valid_point
-from .ordinal import from_int, omega_power, parse_ordinal, print_ordinal
-from .worm import (
-    TOP,
-    Worm,
-    compare_worms,
-    concat,
-    head,
-    ordinal_of,
-    parse_worm,
-    print_worm,
-    remainder,
-    worm_of_ordinal,
+from .ordinal import (
+    ZERO, add, compare, from_int, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
+from .worm import TOP, Worm, ordinal_of, parse_worm, print_worm, worm_of_ordinal
 
 __all__ = [
     "TheoryPresentation",
     "Spectrum",
     "LimitTheory",
     "spectrum_of_worm",
-    "normalize_presentation",
     "normalize",
     "conservation_level",
     "describe_conservation",
@@ -156,31 +146,26 @@ def spectrum_of_worm(a: Worm) -> Spectrum:
     return Spectrum.of_point(min_point_for_worm(a))
 
 
-def normalize_presentation(t: TheoryPresentation) -> tuple[Worm, ...]:
-    """The per-level worms after closure, for levels 0 through the max level.
-
-    Pass 1 replaces each stored worm by its level head (a level-n
-    progression only sees the level-n head). Pass 2 walks top-down: when
-    the level above outstrips the head of the level below, the lower worm
-    is replaced by the upper worm followed by whatever part of the lower
-    one the upper level cannot express. One pass suffices: after a rewrite
-    the new level-(n+1) head is exactly the worm above, so no earlier step
-    can fire again.
-    """
-    top = t.max_level
-    worms = [head(t.worm_at(n), n) for n in range(top + 1)]
-    for n in range(top - 1, -1, -1):
-        upper = worms[n + 1]
-        if compare_worms(worms[n], upper, n + 1) < 0:
-            worms[n] = concat(upper, remainder(worms[n], n + 1))
-    return tuple(worms)
-
-
 def normalize(t: TheoryPresentation) -> Spectrum:
-    """Collapse a presentation to its unique point of the universal model."""
-    worms = normalize_presentation(t)
-    point = Point.of(ordinal_of(w, n) for n, w in enumerate(worms))
-    return Spectrum.of_point(point)
+    """Collapse a presentation to its unique point of the universal model.
+
+    Coordinate n starts as the rank of the stored level-n worm (a level-n
+    progression only sees that worm's level-n head). A top-down pass then
+    restores the world condition: where alpha_{n+1} exceeds the last
+    exponent of alpha_n, the union of both progressions has as coordinate n
+    the least ordinal at or above alpha_n whose last exponent reaches
+    alpha_{n+1}, namely alpha_n + w^alpha_{n+1}. The step changes only
+    alpha_n, and its new last exponent is alpha_{n+1}, so the condition
+    then holds at n and at every level above: one pass suffices. Levels
+    above the highest nonzero rank are never visited.
+    """
+    ranks = {n: ordinal_of(w, n) for n, w in t.entries}
+    top = max((n for n, x in ranks.items() if not x.is_zero), default=0)
+    coords = [ranks.get(n, ZERO) for n in range(top + 1)]
+    for n in range(top - 1, -1, -1):
+        if compare(coords[n + 1], last_exponent(coords[n])) > 0:
+            coords[n] = add(coords[n], omega_power(coords[n + 1]))
+    return Spectrum.of_point(Point.of(coords))
 
 
 @dataclass(frozen=True)

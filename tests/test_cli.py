@@ -180,8 +180,13 @@ def test_parse_errors_exit_2(capsys):
         assert (code, out, err.count("\n")) == (2, "", 1), argv
 
 
+def test_universe_error_position(capsys):
+    code, _, err = run(capsys, "model", "--universe", "finite:١")
+    assert code == 2 and "position 7" in err
+
+
 def test_integer_arguments_are_ascii_naturals(capsys):
-    # argparse refuses a bad value with SystemExit(2) and a usage line
+    # argparse refuses a bad value with SystemExit(2) and one "error:" line
     for argv in (
         ("o", "-n", "١", "1"),
         ("o", "-n", "+1", "1"),
@@ -193,7 +198,9 @@ def test_integer_arguments_are_ascii_naturals(capsys):
     ):
         with pytest.raises(SystemExit) as info:
             main(list(argv))
-        assert (info.value.code, capsys.readouterr().out) == (2, ""), argv
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, ""), argv
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), argv
 
 
 def test_worm_of_large_finite_ordinal(capsys):
@@ -201,10 +208,17 @@ def test_worm_of_large_finite_ordinal(capsys):
     assert (code, out) == (0, ".".join(["0"] * 5000))
 
 
-def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
+def test_usage_error_exit_2(capsys):
+    for argv in (["frobnicate"], []):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().err.count("\n") == 1, argv
+
+
+def test_spectrum_skips_empty_levels(capsys):
+    code, out, _ = run(capsys, "spectrum", '{"entries":{"2000000":"T"}}', "--ascii")
+    assert (code, out) == (0, "<0> worms: T")
 
 
 def test_module_entry_point():

@@ -1,10 +1,19 @@
 import itertools
+import random
 
 import pytest
 
 import samples
 from wormcalc.ignatiev import Point, is_valid_point
-from wormcalc.ordinal import ZERO, compare, from_int, parse_ordinal
+from wormcalc.ordinal import (
+    ZERO,
+    add,
+    compare,
+    from_int,
+    last_exponent,
+    omega_power,
+    parse_ordinal,
+)
 from wormcalc.spectrum import (
     LimitTheory,
     Spectrum,
@@ -12,13 +21,13 @@ from wormcalc.spectrum import (
     conservation_level,
     describe_conservation,
     normalize,
-    normalize_presentation,
     registry,
     spectrum_of_worm,
 )
 from wormcalc.worm import (
     TOP,
     Worm,
+    compare_worms,
     concat,
     head,
     in_worms,
@@ -45,6 +54,40 @@ def small_presentations():
     for picks in itertools.product(options, repeat=3):
         entries = {n: w for n, w in enumerate(picks) if w is not None}
         yield TheoryPresentation.of(entries)
+
+
+def random_presentations(count, seed=0):
+    """Seeded presentations over levels 0-6, each stored worm of length at
+    most 6 over letters 0-6."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        levels = rng.sample(range(7), rng.randint(0, 7))
+        yield TheoryPresentation.of(
+            {
+                n: Worm(tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 6))))
+                for n in levels
+            }
+        )
+
+
+def normalize_presentation_oracle(t: TheoryPresentation) -> tuple[Worm, ...]:
+    """The closure computed on worms, for levels 0 through the max level.
+
+    Pass 1 replaces each stored worm by its level head (a level-n
+    progression only sees the level-n head). Pass 2 walks top-down: when
+    the level above outstrips the head of the level below, the lower worm
+    is replaced by the upper worm followed by whatever part of the lower
+    one the upper level cannot express. One pass suffices: after a rewrite
+    the new level-(n+1) head is exactly the worm above, so no earlier step
+    can fire again.
+    """
+    top = t.max_level
+    worms = [head(t.worm_at(n), n) for n in range(top + 1)]
+    for n in range(top - 1, -1, -1):
+        upper = worms[n + 1]
+        if compare_worms(worms[n], upper, n + 1) < 0:
+            worms[n] = concat(upper, remainder(worms[n], n + 1))
+    return tuple(worms)
 
 
 def test_presentation_construction():
@@ -89,7 +132,7 @@ def test_spectrum_of_worm_examples():
 
 def test_normalize_progression_union_example():
     t = TheoryPresentation.of({1: parse_worm("1"), 0: parse_worm("0.1")})
-    closed = normalize_presentation(t)
+    closed = normalize_presentation_oracle(t)
     assert closed == (parse_worm("1.0.1"), parse_worm("1"))
     s = normalize(t)
     assert s.point == Point.of([parse_ordinal("w*2"), from_int(1)])
@@ -110,6 +153,19 @@ def test_normalize_fixed_point():
 
 def test_normalize_empty_presentation_is_base_theory():
     assert normalize(TheoryPresentation.of({})).point == Point.of([ZERO])
+
+
+def test_normalize_skips_empty_levels():
+    # only levels up to the highest nonzero rank are visited
+    assert normalize(TheoryPresentation.of({10**6: TOP})).point == Point.of([ZERO])
+
+
+def test_normalize_matches_worm_rewrite_oracle():
+    family = itertools.chain(small_presentations(), random_presentations(3000))
+    for t in family:
+        closed = normalize_presentation_oracle(t)
+        expected = Point.of(ordinal_of(w, n) for n, w in enumerate(closed))
+        assert normalize(t).point == expected, t
 
 
 def test_spectrum_json():
@@ -199,10 +255,15 @@ def test_rewrite_is_minimal_upper_bound():
     lowers = samples.all_worms(2, 2)
     for upper in uppers:
         for lower in lowers:
-            if not (compare(ordinal_of(head(lower, 1), 1), ordinal_of(upper, 1)) < 0):
+            fires = compare(ordinal_of(head(lower, 1), 1), ordinal_of(upper, 1)) < 0
+            # the coordinate step fires exactly when the worm rewrite does
+            step = compare(ordinal_of(upper, 1), last_exponent(ordinal_of(lower))) > 0
+            assert step == fires, (upper, lower)
+            if not fires:
                 continue  # the closure step does not fire for this pair
             rewritten = concat(upper, remainder(lower, 1))
             target = ordinal_of(rewritten, 0)
+            assert target == add(ordinal_of(lower), omega_power(ordinal_of(upper, 1))), (upper, lower)
             feasible = [
                 ranks0[c]
                 for c in candidates
