@@ -101,6 +101,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # parsers, ranks and printers recurse once per nesting level
+        print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
+        return 2
 
 
 class _Parser(argparse.ArgumentParser):

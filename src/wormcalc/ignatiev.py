@@ -19,8 +19,7 @@ disagreement fails the build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
 from .ordinal import ZERO, Ordinal, compare, last_exponent, parse_ordinal, print_ordinal
@@ -179,10 +178,15 @@ class FiniteSubmodel:
     coordinates drawn from the universe; edges are the full relations
     restricted to those worlds. Immutable after construction.
 
-    `worlds` is in lexicographic coordinate order, so the worlds agreeing
-    below n form consecutive runs in which coordinate n never decreases. A
-    world's relation-n successors are the earlier classes of its run, and
-    its covers, the arrows `render_dot` draws, the class just before its own.
+    `worlds` is in lexicographic coordinate order: the root, then a
+    depth-first walk that puts each prefix P before its subtree. The worlds
+    agreeing with P below n = len(P) are P and its subtree, so relation n
+    at a child P+(u,), and at every world below it, reaches exactly P and
+    the subtrees of the earlier siblings: one stretch of `worlds`. Each
+    world i stores a span (a, b, c) per relation n, with P at a, the
+    previous sibling (or P) at b and the child at c; its successors are
+    worlds[a:c] and its covers, the arrows `render_dot` draws, worlds[b:c].
+    Relations at or above a world's support have empty spans.
     """
 
     def __init__(self, universe: Sequence[Ordinal], max_index: int):
@@ -199,20 +203,8 @@ class FiniteSubmodel:
                 )
         self.universe: tuple[Ordinal, ...] = tuple(ordered)
         self.max_index = max_index
-        self.worlds: tuple[Point, ...] = tuple(self._generate())
-        self._world_set = frozenset(self.worlds)
-        self._successors: dict[tuple[int, Point], tuple[Point, ...]] = {}
-        self._covers: dict[tuple[int, Point], tuple[Point, ...]] = {}
-        for n in range(max_index + 1):
-            for _, run in groupby(self.worlds, key=lambda p: p.coords[:n]):
-                below = previous = ()
-                for _, same in groupby(run, key=lambda p: p.coord(n)):
-                    same = tuple(same)
-                    for p in same:
-                        self._successors[(n, p)] = below
-                        self._covers[(n, p)] = previous
-                    below += same
-                    previous = same
+        self.worlds, self._spans = self._generate()
+        self._index = {p: i for i, p in enumerate(self.worlds)}
         # exactness is certified only for initial segments of the naturals:
         # there every coordinate beyond the first is forced to zero, so all
         # full-model successors of a world already lie in the fragment
@@ -220,32 +212,37 @@ class FiniteSubmodel:
             u.as_int() for u in self.universe
         ] == list(range(len(self.universe)))
 
-    def _generate(self) -> Iterator[Point]:
-        """The root, then depth-first with each prefix before its extensions."""
+    def _generate(self) -> tuple[tuple[Point, ...], list[tuple]]:
+        """The worlds in walk order, and each world's span per relation."""
+        worlds = [Point((ZERO,))]
+        spans = [((0, 0, 0),) * (self.max_index + 1)]
 
-        def extend(prefix: tuple[Ordinal, ...], bound: Ordinal) -> Iterator[Point]:
+        def extend(prefix: tuple[Ordinal, ...], start: int, bound: Ordinal) -> None:
+            n, row, previous = len(prefix), spans[start], start
             for u in self.universe[1:]:  # the nonzero coordinates, ascending
                 if compare(u, bound) > 0:
                     break
-                yield Point(prefix + (u,))
-                if len(prefix) < self.max_index:
-                    yield from extend(prefix + (u,), last_exponent(u))
+                i = len(worlds)
+                worlds.append(Point(prefix + (u,)))
+                spans.append(row[:n] + ((start, previous, i),) + row[n + 1 :])
+                if n < self.max_index:
+                    extend(prefix + (u,), i, last_exponent(u))
+                previous = i
 
-        yield Point((ZERO,))
-        yield from extend((), self.universe[-1])
+        extend((), 0, self.universe[-1])
+        return tuple(worlds), spans
 
     def successors(self, n: int, p: Point) -> tuple[Point, ...]:
-        return self._successors[(n, p)]
+        if not 0 <= n <= self.max_index:
+            raise ModalityOutOfRangeError(f"relation {n} is outside 0..{self.max_index}")
+        a, _, c = self._spans[self._index[p]][n]
+        return self.worlds[a:c]
 
     def edges(self, n: int) -> list[tuple[Point, Point]]:
-        return [
-            (p, q)
-            for p in self.worlds
-            for q in self._successors[(n, p)]
-        ]
+        return [(p, q) for p in self.worlds for q in self.successors(n, p)]
 
     def __contains__(self, p: Point) -> bool:
-        return p in self._world_set
+        return p in self._index
 
     def __repr__(self) -> str:
         return (
@@ -270,28 +267,32 @@ class ForcingResult:
 
 
 def _evaluator(m: FiniteSubmodel, f: fm.Formula):
-    """Check that f's modalities fit m, then return f's truth test on m's worlds."""
+    """Check that f's modalities fit m, then return f's truth test on world positions."""
     top = fm.max_modality(f)
     if top > m.max_index:
         raise ModalityOutOfRangeError(
             f"formula mentions [{top}] but the submodel stops at [{m.max_index}]"
         )
 
-    def ev(point: Point, g: fm.Formula) -> bool:
+    spans = m._spans
+
+    def ev(i: int, g: fm.Formula) -> bool:
         match g:
             case fm.Top():
                 return True
             case fm.Bottom():
                 return False
             case fm.Implies(left=left, right=right):
-                return (not ev(point, left)) or ev(point, right)
+                return (not ev(i, left)) or ev(i, right)
             case fm.Box(index=n, body=body):
-                return all(ev(q, body) for q in m.successors(n, point))
+                a, _, c = spans[i][n]
+                return all(ev(j, body) for j in range(a, c))
             case fm.Diamond(index=n, body=body):
-                return any(ev(q, body) for q in m.successors(n, point))
+                a, _, c = spans[i][n]
+                return any(ev(j, body) for j in range(a, c))
         raise TypeError(f"not a formula: {g!r}")
 
-    return lambda p: ev(p, f)
+    return lambda i: ev(i, f)
 
 
 def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
@@ -301,9 +302,10 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     witness-complete fragment the answer is exact for the full model,
     otherwise diamonds are underapproximated and the result says so.
     """
-    if p not in m:
+    i = m._index.get(p)
+    if i is None:
         raise PointNotInModelError(f"{p} is not a world of {m!r}")
-    return ForcingResult(_evaluator(m, f)(p), m.witness_complete)
+    return ForcingResult(_evaluator(m, f)(i), m.witness_complete)
 
 
 def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
@@ -313,7 +315,7 @@ def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
     the closed fragment; a True answer is only a necessary condition.
     """
     holds = _evaluator(m, f)
-    return ForcingResult(all(holds(p) for p in m.worlds), m.witness_complete)
+    return ForcingResult(all(holds(i) for i in range(len(m.worlds))), m.witness_complete)
 
 
 # --- DOT rendering ------------------------------------------------------
@@ -336,20 +338,22 @@ def render_dot(
 
     Relation 0 uses plain arrows; higher relations stack parallel strokes
     (double for 1, triple for 2, and so on). By default only covering
-    arrows of each relation are drawn.
+    arrows of each relation are drawn. Every labelled point must be a world.
     """
-    arrows = m._covers if reduce_transitive else m._successors
     labels = labels or {}
-    index = {p: i for i, p in enumerate(m.worlds)}
+    for p in labels:
+        if p not in m:
+            raise PointNotInModelError(f"label {labels[p]!r}: {p} is not a world of {m!r}")
     lines = ["digraph ignatiev {", "  node [shape=box];"]
-    for p in m.worlds:
+    for i, p in enumerate(m.worlds):
         text = print_point(p)
         if p in labels:
             text = f"{labels[p]}\\n{text}"
-        lines.append(f'  n{index[p]} [label="{text}"];')
+        lines.append(f'  n{i} [label="{text}"];')
     for n in range(m.max_index + 1):
-        for p in m.worlds:
-            for q in arrows[(n, p)]:
-                lines.append(f"  n{index[p]} -> n{index[q]}{_edge_style(n)};")
+        for i, row in enumerate(m._spans):
+            a, b, c = row[n]
+            for j in range(b if reduce_transitive else a, c):
+                lines.append(f"  n{i} -> n{j}{_edge_style(n)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -175,9 +176,25 @@ def test_parse_errors_exit_2(capsys):
         ("conserve", "PRA", "<w, w>"),
         ("model", "--universe", "finite:١"),
         ("model", "--universe", "finite:-1"),
+        # labels must name worlds of the fragment
+        ("model", "--universe", "finite:2", "--max-index", "1", "--label", "<7>=X"),
+        ("model", "--universe", "finite:2", "--max-index", "1", "--label", "<2, 1>=X"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err.count("\n")) == (2, "", 1), argv
+
+
+def test_deep_inputs_exit_2(capsys):
+    # nesting past the recursion limit is refused, never a traceback with exit 1
+    for argv in (
+        ("spectrum", '{"entries":{"1200":"1200"}}'),
+        ("o", ".".join(["0"] * 1200)),
+        ("worm-of", "0", "w^" * 2000 + "1"),
+        ("valid", "--universe", "finite:3", "~" * 3000 + "T"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv[0]
+        assert err.startswith("error: input nested too deeply"), argv[0]
 
 
 def test_universe_error_position(capsys):
@@ -222,10 +239,13 @@ def test_spectrum_skips_empty_levels(capsys):
 
 
 def test_module_entry_point():
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "wormcalc", "o", "-n", "0", "1.0.1", "--ascii"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "w*2"

@@ -4,7 +4,16 @@ import random
 import pytest
 
 import samples
-from wormcalc.formula import Box, Diamond, Top, axiom_instances, formula_of_worm, parse_formula
+from wormcalc.formula import (
+    Bottom,
+    Box,
+    Diamond,
+    Implies,
+    Top,
+    axiom_instances,
+    formula_of_worm,
+    parse_formula,
+)
 from wormcalc.ignatiev import (
     FiniteSubmodel,
     ModalityOutOfRangeError,
@@ -155,6 +164,13 @@ def test_forces_errors():
         validity_check(parse_formula("<5>T"), m)
 
 
+def test_successors_reject_relations_outside_the_fragment():
+    m = enumerate_submodel(finite_universe(2), 1)
+    for n in (-1, 2):
+        with pytest.raises(ModalityOutOfRangeError):
+            m.successors(n, Point.of([from_int(2)]))
+
+
 def test_validity_examples():
     m = enumerate_submodel(finite_universe(3), 1)
     assert validity_check(parse_formula("[0]([0]T->T)->[0]T"), m).value
@@ -230,6 +246,13 @@ def test_render_dot_labels_and_styles():
     assert 'label="PRA\\n<w^w, w>"' in dot
     assert 'color="black:invis:black"' in dot
     assert 'color="black:invis:black:invis:black"' in dot
+
+
+def test_render_dot_labels_must_be_worlds():
+    m = enumerate_submodel(finite_universe(2), 1)
+    for text in ("<7>", "<2, 1>"):
+        with pytest.raises(PointNotInModelError):
+            render_dot(m, labels={parse_point(text): "X"})
 
 
 def test_render_dot_deterministic():
@@ -308,3 +331,47 @@ def test_structural_relations_match_definitions():
                 into.extend(sorted((n, index[p], index[q]) for p, q in edges))
         assert drawn_arrows(render_dot(m)) == covers
         assert drawn_arrows(render_dot(m, reduce_transitive=False)) == full
+
+
+def definitional_truth(m, g):
+    """The worlds of m forcing g, straight from the definition: each box and
+    diamond quantifies over m.worlds through relation_holds."""
+    match g:
+        case Top():
+            return set(m.worlds)
+        case Bottom():
+            return set()
+        case Implies(left=left, right=right):
+            return (set(m.worlds) - definitional_truth(m, left)) | definitional_truth(m, right)
+        case Box(index=n, body=body):
+            inner = definitional_truth(m, body)
+            return {p for p in m.worlds if all(q in inner for q in m.worlds if relation_holds(n, p, q))}
+        case Diamond(index=n, body=body):
+            inner = definitional_truth(m, body)
+            return {p for p in m.worlds if any(q in inner for q in m.worlds if relation_holds(n, p, q))}
+
+
+def random_formula(rng, depth, max_index):
+    pick = rng.randrange(5 if depth else 2)
+    if pick == 0:
+        return Top()
+    if pick == 1:
+        return Bottom()
+    if pick == 2:
+        return Implies(random_formula(rng, depth - 1, max_index), random_formula(rng, depth - 1, max_index))
+    modality = Box if pick == 3 else Diamond
+    return modality(rng.randint(0, max_index), random_formula(rng, depth - 1, max_index))
+
+
+def test_evaluator_matches_definition():
+    rng = random.Random(5)
+    for universe, max_index in suite_fragments():
+        m = enumerate_submodel(universe, max_index)
+        for _ in range(12):
+            f = random_formula(rng, 3, max_index)
+            truth = definitional_truth(m, f)
+            for p in m.worlds:
+                result = forces(m, p, f)
+                assert (result.value, result.exact) == (p in truth, m.witness_complete), (universe, p, f)
+            result = validity_check(f, m)
+            assert (result.value, result.exact) == (len(truth) == len(m.worlds), m.witness_complete), (universe, f)
