@@ -298,7 +298,7 @@ def _cmd_model(args) -> int:
         destination = args.dot
     else:
         destination = None
-    edge_counts = {str(n): len(model.edges(n)) for n in range(model.max_index + 1)}
+    edge_counts = {str(n): model.edge_count(n) for n in range(model.max_index + 1)}
     if args.json:
         payload = {
             "worlds": [[print_ordinal(c) for c in p.coords] for p in model.worlds],
@@ -321,25 +321,24 @@ def _evaluation_model(args, needed_index: int) -> ig.FiniteSubmodel:
     return ig.enumerate_submodel(_parse_universe(args.universe), max_index)
 
 
-def _cmd_forces(args) -> int:
-    point = ig.parse_point(args.point)
-    f = fm.parse_formula(args.formula)
-    model = _evaluation_model(args, max(fm.max_modality(f), point.support - 1))
-    result = ig.forces(model, point, f)
+def _report(args, result: ig.ForcingResult) -> int:
     if not result.exact:
         print("note: fragment-relative answer (universe is not witness-complete)", file=sys.stderr)
     _emit(args, "true" if result.value else "false", {"value": result.value, "exact": result.exact})
     return 0 if result.value else 1
+
+
+def _cmd_forces(args) -> int:
+    point = ig.parse_point(args.point)
+    f = fm.parse_formula(args.formula)
+    model = _evaluation_model(args, max(fm.max_modality(f), point.support - 1))
+    return _report(args, ig.forces(model, point, f))
 
 
 def _cmd_valid(args) -> int:
     f = fm.parse_formula(args.formula)
     model = _evaluation_model(args, fm.max_modality(f))
-    result = ig.validity_check(f, model)
-    if not result.exact:
-        print("note: fragment-relative answer (universe is not witness-complete)", file=sys.stderr)
-    _emit(args, "true" if result.value else "false", {"value": result.value, "exact": result.exact})
-    return 0 if result.value else 1
+    return _report(args, ig.validity_check(f, model))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ model checking runs over explicitly enumerated finite fragments. Forcing
 results carry an exactness flag: on a universe that is an initial segment
 of the naturals every possible witness lies inside the fragment and
 evaluation agrees with the full model, otherwise diamonds are
-underapproximated.
+underapproximated. Evaluation builds one truth vector over the worlds per
+subformula, so it costs O(|W|*|f|) whatever the nesting depth.
 
 `forces_worm` decides worm statements in constant passes through the
 coordinatewise criterion rank_n(worm) <= coordinate_n. That criterion is
@@ -19,6 +20,7 @@ disagreement fails the build.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
@@ -241,6 +243,12 @@ class FiniteSubmodel:
     def edges(self, n: int) -> list[tuple[Point, Point]]:
         return [(p, q) for p in self.worlds for q in self.successors(n, p)]
 
+    def edge_count(self, n: int) -> int:
+        """len(edges(n)), summed over the spans without building a pair."""
+        if not 0 <= n <= self.max_index:
+            raise ModalityOutOfRangeError(f"relation {n} is outside 0..{self.max_index}")
+        return sum(row[n][2] - row[n][0] for row in self._spans)
+
     def __contains__(self, p: Point) -> bool:
         return p in self._index
 
@@ -266,33 +274,31 @@ class ForcingResult:
         return self.value
 
 
-def _evaluator(m: FiniteSubmodel, f: fm.Formula):
-    """Check that f's modalities fit m, then return f's truth test on world positions."""
+def _truth(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
+    """f's truth value at every world position, one pass per subformula; a box
+    or diamond counts its body over each span (a, _, c) by prefix sums."""
+    match f:
+        case fm.Top():
+            return [True] * len(m.worlds)
+        case fm.Bottom():
+            return [False] * len(m.worlds)
+        case fm.Implies(left=left, right=right):
+            return [not x or y for x, y in zip(_truth(m, left), _truth(m, right))]
+        case fm.Box(index=n, body=body) | fm.Diamond(index=n, body=body):
+            pre = list(accumulate(_truth(m, body), initial=0))
+            spans = (row[n] for row in m._spans)
+            if isinstance(f, fm.Box):
+                return [pre[c] - pre[a] == c - a for a, _, c in spans]
+            return [pre[c] > pre[a] for a, _, c in spans]
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _check_modalities(m: FiniteSubmodel, f: fm.Formula) -> None:
     top = fm.max_modality(f)
     if top > m.max_index:
         raise ModalityOutOfRangeError(
             f"formula mentions [{top}] but the submodel stops at [{m.max_index}]"
         )
-
-    spans = m._spans
-
-    def ev(i: int, g: fm.Formula) -> bool:
-        match g:
-            case fm.Top():
-                return True
-            case fm.Bottom():
-                return False
-            case fm.Implies(left=left, right=right):
-                return (not ev(i, left)) or ev(i, right)
-            case fm.Box(index=n, body=body):
-                a, _, c = spans[i][n]
-                return all(ev(j, body) for j in range(a, c))
-            case fm.Diamond(index=n, body=body):
-                a, _, c = spans[i][n]
-                return any(ev(j, body) for j in range(a, c))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return lambda i: ev(i, f)
 
 
 def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
@@ -300,22 +306,25 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
 
     Boxes quantify over the fragment's edges, diamonds existentially; on a
     witness-complete fragment the answer is exact for the full model,
-    otherwise diamonds are underapproximated and the result says so.
+    otherwise diamonds are underapproximated and the result says so. The
+    cost is O(|W|*|f|) for |W| worlds, whatever the nesting depth.
     """
     i = m._index.get(p)
     if i is None:
         raise PointNotInModelError(f"{p} is not a world of {m!r}")
-    return ForcingResult(_evaluator(m, f)(i), m.witness_complete)
+    _check_modalities(m, f)
+    return ForcingResult(_truth(m, f)[i], m.witness_complete)
 
 
 def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
     """True iff the formula holds at every world of the fragment.
 
     A False answer on a witness-complete fragment refutes theoremhood in
-    the closed fragment; a True answer is only a necessary condition.
+    the closed fragment; a True answer is only a necessary condition. The
+    cost is O(|W|*|f|) for |W| worlds, whatever the nesting depth.
     """
-    holds = _evaluator(m, f)
-    return ForcingResult(all(holds(i) for i in range(len(m.worlds))), m.witness_complete)
+    _check_modalities(m, f)
+    return ForcingResult(all(_truth(m, f)), m.witness_complete)
 
 
 # --- DOT rendering ------------------------------------------------------

@@ -64,7 +64,7 @@ def test_point_text_round_trip():
     assert parse_coords("<2, 1>") == (from_int(2), from_int(1))
 
 
-def test_validity_examples():
+def test_world_condition_examples():
     assert is_valid_point(ISIGMA1)
     assert first_violation((from_int(2), from_int(1))) == 0
     assert is_valid_point(Point.of([ZERO]))
@@ -169,6 +169,8 @@ def test_successors_reject_relations_outside_the_fragment():
     for n in (-1, 2):
         with pytest.raises(ModalityOutOfRangeError):
             m.successors(n, Point.of([from_int(2)]))
+        with pytest.raises(ModalityOutOfRangeError):
+            m.edge_count(n)
 
 
 def test_validity_examples():
@@ -178,6 +180,11 @@ def test_validity_examples():
     refuted = validity_check(parse_formula("<0>T"), m)
     assert not refuted.value
     assert refuted.exact
+    # thirty nested boxes: the cost does not multiply with the depth
+    deep = parse_formula("[0]" * 30 + "(<0>T -> <0>T)")
+    chain = enumerate_submodel(finite_universe(20), 0)
+    assert validity_check(deep, chain).value
+    assert forces(chain, Point.of([from_int(20)]), deep).value
 
 
 def test_head_remainder_forcing_semantics():
@@ -327,6 +334,7 @@ def test_structural_relations_match_definitions():
         for n in range(max_index + 1):
             for p in m.worlds:
                 assert m.successors(n, p) == tuple(q for q in m.worlds if relation_holds(n, p, q))
+            assert m.edge_count(n) == len(m.edges(n))
             for edges, into in ((transitive_reduction(m.edges(n)), covers), (m.edges(n), full)):
                 into.extend(sorted((n, index[p], index[q]) for p, q in edges))
         assert drawn_arrows(render_dot(m)) == covers
@@ -364,11 +372,11 @@ def random_formula(rng, depth, max_index):
 
 
 def test_evaluator_matches_definition():
-    rng = random.Random(5)
+    rng, deep = random.Random(5), random.Random(6)
     for universe, max_index in suite_fragments():
         m = enumerate_submodel(universe, max_index)
-        for _ in range(12):
-            f = random_formula(rng, 3, max_index)
+        shallow = [random_formula(rng, 3, max_index) for _ in range(12)]
+        for f in shallow + [random_formula(deep, 6, max_index) for _ in range(2)]:
             truth = definitional_truth(m, f)
             for p in m.worlds:
                 result = forces(m, p, f)
