@@ -13,7 +13,6 @@ from .formula import (
     Implies,
     Top,
     as_worm,
-    axiom_instances,
     formula_of_worm,
     parse_formula,
     print_formula,
@@ -30,7 +29,6 @@ from .ignatiev import (
     min_point_for_worm,
     parse_point,
     print_point,
-    relation_holds,
     render_dot,
     validity_check,
 )
@@ -62,13 +60,10 @@ from .worm import (
     TOP,
     Worm,
     compare_worms,
-    concat,
     head,
-    in_worms,
     ordinal_of,
     parse_worm,
     print_worm,
-    promote,
     remainder,
     worm_of_ordinal,
 )

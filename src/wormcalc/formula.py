@@ -1,4 +1,4 @@
-"""Closed polymodal formulas: AST, parser, printer and axiom fixtures.
+"""Closed polymodal formulas: AST, parser and printer.
 
 The semantic core is falsum, implication and the indexed box/diamond;
 negation, conjunction and disjunction are surface sugar expanded at parse
@@ -26,7 +26,6 @@ __all__ = [
     "as_worm",
     "formula_of_worm",
     "max_modality",
-    "axiom_instances",
     "parse_formula",
     "print_formula",
 ]
@@ -115,66 +114,6 @@ def max_modality(f: Formula) -> int:
             return max(max_modality(l), max_modality(r))
         case _:
             return -1
-
-
-def axiom_instances(worm_pool: list[Worm], max_index: int) -> list[Formula]:
-    """Instances of the five axiom schemata over a pool of worm statements.
-
-    Candidate formulas are the pool worms and their negations (the trivially
-    true statement is always included). Propositional tautologies are
-    represented by a fixed family of classical shapes; the modal schemata
-    are instantiated for every index pair n < m <= max_index. Used as a
-    validity fixture: every instance must hold at every world of an exactly
-    evaluated submodel.
-    """
-    pool = [Worm(())] + [w for w in worm_pool if not w.is_empty]
-    seen = set()
-    candidates = []
-    for w in pool:
-        base = formula_of_worm(w)
-        for f in (base, neg(base)):
-            if f not in seen:
-                seen.add(f)
-                candidates.append(f)
-
-    instances: list[Formula] = []
-
-    def emit(f: Formula) -> None:
-        if f not in instances_seen:
-            instances_seen.add(f)
-            instances.append(f)
-
-    instances_seen: set[Formula] = set()
-
-    # propositional tautologies (representative classical shapes)
-    for phi in candidates:
-        emit(Implies(phi, phi))
-        emit(Implies(Bottom(), phi))
-        emit(neg(neg(Implies(phi, phi))))
-        emit(disj(phi, neg(phi)))
-        for psi in candidates:
-            emit(Implies(phi, Implies(psi, phi)))
-            emit(Implies(Implies(Implies(phi, psi), phi), phi))
-
-    for n in range(max_index + 1):
-        for phi in candidates:
-            # transitivity-flavored fixed point: Loeb's schema
-            emit(Implies(Box(n, Implies(Box(n, phi), phi)), Box(n, phi)))
-            for psi in candidates:
-                # distribution
-                emit(
-                    Implies(
-                        Box(n, Implies(phi, psi)),
-                        Implies(Box(n, phi), Box(n, psi)),
-                    )
-                )
-        for m in range(n + 1, max_index + 1):
-            for phi in candidates:
-                # monotonicity and negative introspection across levels
-                emit(Implies(Box(n, phi), Box(m, phi)))
-                emit(Implies(Diamond(n, phi), Box(m, Diamond(n, phi))))
-
-    return instances
 
 
 # --- text form ---------------------------------------------------------

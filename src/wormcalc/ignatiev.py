@@ -8,7 +8,10 @@ results carry an exactness flag: on a universe that is an initial segment
 of the naturals every possible witness lies inside the fragment and
 evaluation agrees with the full model, otherwise diamonds are
 underapproximated. Evaluation builds one truth vector over the worlds per
-subformula, so it costs O(|W|*|f|) whatever the nesting depth.
+subformula, so it costs O(|W|*|f|) whatever the nesting depth. A fragment
+evaluates each distinct formula it is asked about once: the first query
+costs O(|W|*|f|), the same formula at each further world costs O(1) beyond
+hashing f, and the vectors live as long as the model.
 
 `forces_worm` decides worm statements in constant passes through the
 coordinatewise criterion rank_n(worm) <= coordinate_n. That criterion is
@@ -36,7 +39,6 @@ __all__ = [
     "first_violation",
     "is_valid_point",
     "valid_point",
-    "relation_holds",
     "min_point_for_worm",
     "forces_worm",
     "FiniteSubmodel",
@@ -149,14 +151,6 @@ def valid_point(coords: Sequence[Ordinal]) -> Point:
     return Point.of(coords)
 
 
-def relation_holds(n: int, p: Point, q: Point) -> bool:
-    """p sees q through relation n: coordinates below n agree, coordinate n drops."""
-    for i in range(n):
-        if p.coord(i) != q.coord(i):
-            return False
-    return compare(p.coord(n), q.coord(n)) > 0
-
-
 def min_point_for_worm(a: Worm) -> Point:
     """The world whose n-th coordinate is the worm's level-n rank.
 
@@ -207,6 +201,9 @@ class FiniteSubmodel:
         self.max_index = max_index
         self.worlds, self._spans = self._generate()
         self._index = {p: i for i, p in enumerate(self.worlds)}
+        # truth vectors of the formulas queried so far; subformula vectors are
+        # not kept, so a one-shot query on a large fragment holds just one
+        self._vectors: dict[fm.Formula, list[bool]] = {}
         # exactness is certified only for initial segments of the naturals:
         # there every coordinate beyond the first is forced to zero, so all
         # full-model successors of a world already lie in the fragment
@@ -234,10 +231,16 @@ class FiniteSubmodel:
         extend((), 0, self.universe[-1])
         return tuple(worlds), spans
 
+    def _position(self, p: Point) -> int:
+        i = self._index.get(p)
+        if i is None:
+            raise PointNotInModelError(f"{p} is not a world of {self!r}")
+        return i
+
     def successors(self, n: int, p: Point) -> tuple[Point, ...]:
         if not 0 <= n <= self.max_index:
             raise ModalityOutOfRangeError(f"relation {n} is outside 0..{self.max_index}")
-        a, _, c = self._spans[self._index[p]][n]
+        a, _, c = self._spans[self._position(p)][n]
         return self.worlds[a:c]
 
     def edges(self, n: int) -> list[tuple[Point, Point]]:
@@ -301,19 +304,28 @@ def _check_modalities(m: FiniteSubmodel, f: fm.Formula) -> None:
         )
 
 
+def _vector(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
+    """f's truth vector on m, built and kept on the first query; a kept
+    formula has already passed the modality check on m."""
+    vector = m._vectors.get(f)
+    if vector is None:
+        _check_modalities(m, f)
+        vector = m._vectors[f] = _truth(m, f)
+    return vector
+
+
 def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     """Kripke evaluation of a closed formula at a world of the fragment.
 
     Boxes quantify over the fragment's edges, diamonds existentially; on a
     witness-complete fragment the answer is exact for the full model,
     otherwise diamonds are underapproximated and the result says so. The
-    cost is O(|W|*|f|) for |W| worlds, whatever the nesting depth.
+    first query of f on m costs O(|W|*|f|) for |W| worlds, whatever the
+    nesting depth; m keeps f's truth vector, so f at each further world
+    costs O(1) beyond hashing f.
     """
-    i = m._index.get(p)
-    if i is None:
-        raise PointNotInModelError(f"{p} is not a world of {m!r}")
-    _check_modalities(m, f)
-    return ForcingResult(_truth(m, f)[i], m.witness_complete)
+    i = m._position(p)
+    return ForcingResult(_vector(m, f)[i], m.witness_complete)
 
 
 def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
@@ -321,10 +333,10 @@ def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
 
     A False answer on a witness-complete fragment refutes theoremhood in
     the closed fragment; a True answer is only a necessary condition. The
-    cost is O(|W|*|f|) for |W| worlds, whatever the nesting depth.
+    cost is O(|W|*|f|) for |W| worlds, whatever the nesting depth, and
+    shares f's truth vector with `forces` on the same model.
     """
-    _check_modalities(m, f)
-    return ForcingResult(all(_truth(m, f)), m.witness_complete)
+    return ForcingResult(all(_vector(m, f)), m.witness_complete)
 
 
 # --- DOT rendering ------------------------------------------------------

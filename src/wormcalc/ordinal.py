@@ -29,7 +29,6 @@ __all__ = [
     "hyperexp",
     "parse_ordinal",
     "print_ordinal",
-    "check_invariants",
 ]
 
 
@@ -154,18 +153,6 @@ def hyperexp(n: int, x: Ordinal) -> Ordinal:
     for _ in range(n):
         x = ZERO if x.is_zero else omega_power(x)
     return x
-
-
-def check_invariants(a: Ordinal) -> None:
-    """Deep re-validation used by the test suite; raises on any violation."""
-    if not isinstance(a, Ordinal):
-        raise TypeError(f"{a!r} is not an Ordinal")
-    for i, (exponent, coefficient) in enumerate(a.terms):
-        check_invariants(exponent)
-        if not isinstance(coefficient, int) or coefficient < 1:
-            raise ValueError(f"bad coefficient {coefficient!r} in {a!r}")
-        if i > 0 and compare(a.terms[i - 1][0], exponent) <= 0:
-            raise ValueError(f"exponents not strictly decreasing in {a!r}")
 
 
 # --- text form ---------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ParseError", "Cursor"]
+
 # str.isdigit would also accept other scripts' digits, and superscripts
 _ASCII_DIGITS = frozenset("0123456789")
 

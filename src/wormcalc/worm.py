@@ -21,9 +21,6 @@ __all__ = [
     "TOP",
     "head",
     "remainder",
-    "promote",
-    "concat",
-    "in_worms",
     "ordinal_of",
     "compare_worms",
     "worm_of_ordinal",
@@ -76,20 +73,6 @@ def remainder(a: Worm, n: int) -> Worm:
     return Worm(a.letters[_cut(a.letters, n) :])
 
 
-def promote(a: Worm, n: int) -> Worm:
-    """Shift every letter up by n."""
-    return Worm(tuple(letter + n for letter in a.letters))
-
-
-def concat(a: Worm, b: Worm) -> Worm:
-    return Worm(a.letters + b.letters)
-
-
-def in_worms(a: Worm, n: int) -> bool:
-    """Membership in the level-n fragment: every letter at least n."""
-    return all(letter >= n for letter in a.letters)
-
-
 @lru_cache(maxsize=None)
 def _rank(letters: tuple[int, ...], base: int) -> Ordinal:
     # every letter is >= base, and base plays the part of the letter 0
@@ -121,7 +104,8 @@ def compare_worms(a: Worm, b: Worm, level: int = 0) -> int:
     """The level-n well-ordering, decided via ordinal ranks: -1, 0 or 1.
 
     Total on all worm pairs; it factors through the level-n head, so callers
-    needing strict level-n membership check `in_worms` themselves.
+    that need both worms to have every letter at least n check that
+    themselves.
     """
     return compare(ordinal_of(a, level), ordinal_of(b, level))
 

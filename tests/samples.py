@@ -1,8 +1,11 @@
-"""Exhaustive sample families and hypothesis strategies shared by the tests.
+"""Exhaustive sample families, hypothesis strategies and the helpers and
+fixtures shared by the tests.
 
 The exhaustive families are deterministic and sized to keep the whole suite
 well under a minute; the knobs are module constants so individual tests can
-state which family they sweep.
+state which family they sweep. The helpers below the families are worm
+operations, the definitional relation and an axiom fixture that only the
+tests need, so the package does not carry them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from functools import cmp_to_key
 
 from hypothesis import strategies as st
 
+from wormcalc.formula import Bottom, Box, Diamond, Formula, Implies, disj, formula_of_worm, neg
+from wormcalc.ignatiev import Point
 from wormcalc.ordinal import ZERO, Ordinal, compare, from_int
 from wormcalc.worm import Worm
 
@@ -80,3 +85,100 @@ def _canonical(pairs: list[tuple[Ordinal, int]]) -> Ordinal:
         merged[exponent] = merged.get(exponent, 0) + coefficient
     ordered = sorted(merged, key=cmp_to_key(compare), reverse=True)
     return Ordinal(tuple((e, merged[e]) for e in ordered))
+
+
+# --- helpers the tests share ---------------------------------------------
+
+
+def promote(a: Worm, n: int) -> Worm:
+    """Shift every letter up by n."""
+    return Worm(tuple(letter + n for letter in a.letters))
+
+
+def concat(a: Worm, b: Worm) -> Worm:
+    return Worm(a.letters + b.letters)
+
+
+def in_worms(a: Worm, n: int) -> bool:
+    """Membership in the level-n fragment: every letter at least n."""
+    return all(letter >= n for letter in a.letters)
+
+
+def check_invariants(a: Ordinal) -> None:
+    """Deep re-validation of a Cantor normal form; raises on any violation."""
+    if not isinstance(a, Ordinal):
+        raise TypeError(f"{a!r} is not an Ordinal")
+    for i, (exponent, coefficient) in enumerate(a.terms):
+        check_invariants(exponent)
+        if not isinstance(coefficient, int) or coefficient < 1:
+            raise ValueError(f"bad coefficient {coefficient!r} in {a!r}")
+        if i > 0 and compare(a.terms[i - 1][0], exponent) <= 0:
+            raise ValueError(f"exponents not strictly decreasing in {a!r}")
+
+
+def relation_holds(n: int, p: Point, q: Point) -> bool:
+    """p sees q through relation n: coordinates below n agree, coordinate n drops."""
+    for i in range(n):
+        if p.coord(i) != q.coord(i):
+            return False
+    return compare(p.coord(n), q.coord(n)) > 0
+
+
+def axiom_instances(worm_pool: list[Worm], max_index: int) -> list[Formula]:
+    """Instances of the five axiom schemata over a pool of worm statements.
+
+    Candidate formulas are the pool worms and their negations (the trivially
+    true statement is always included). Propositional tautologies are
+    represented by a fixed family of classical shapes; the modal schemata
+    are instantiated for every index pair n < m <= max_index. Used as a
+    validity fixture: every instance must hold at every world of an exactly
+    evaluated submodel.
+    """
+    pool = [Worm(())] + [w for w in worm_pool if not w.is_empty]
+    seen = set()
+    candidates = []
+    for w in pool:
+        base = formula_of_worm(w)
+        for f in (base, neg(base)):
+            if f not in seen:
+                seen.add(f)
+                candidates.append(f)
+
+    instances: list[Formula] = []
+
+    def emit(f: Formula) -> None:
+        if f not in instances_seen:
+            instances_seen.add(f)
+            instances.append(f)
+
+    instances_seen: set[Formula] = set()
+
+    # propositional tautologies (representative classical shapes)
+    for phi in candidates:
+        emit(Implies(phi, phi))
+        emit(Implies(Bottom(), phi))
+        emit(neg(neg(Implies(phi, phi))))
+        emit(disj(phi, neg(phi)))
+        for psi in candidates:
+            emit(Implies(phi, Implies(psi, phi)))
+            emit(Implies(Implies(Implies(phi, psi), phi), phi))
+
+    for n in range(max_index + 1):
+        for phi in candidates:
+            # transitivity-flavored fixed point: Loeb's schema
+            emit(Implies(Box(n, Implies(Box(n, phi), phi)), Box(n, phi)))
+            for psi in candidates:
+                # distribution
+                emit(
+                    Implies(
+                        Box(n, Implies(phi, psi)),
+                        Implies(Box(n, phi), Box(n, psi)),
+                    )
+                )
+        for m in range(n + 1, max_index + 1):
+            for phi in candidates:
+                # monotonicity and negative introspection across levels
+                emit(Implies(Box(n, phi), Box(m, phi)))
+                emit(Implies(Diamond(n, phi), Box(m, Diamond(n, phi))))
+
+    return instances

@@ -11,7 +11,8 @@ from functools import cmp_to_key
 from pathlib import Path
 
 import samples
-from wormcalc.formula import axiom_instances, formula_of_worm
+from samples import axiom_instances, promote
+from wormcalc.formula import formula_of_worm
 from wormcalc.ignatiev import (
     Point,
     enumerate_submodel,
@@ -31,7 +32,7 @@ from wormcalc.spectrum import (
     registry,
     spectrum_of_worm,
 )
-from wormcalc.worm import Worm, ordinal_of, parse_worm, promote, worm_of_ordinal
+from wormcalc.worm import Worm, ordinal_of, parse_worm, worm_of_ordinal
 
 GOLDEN = Path(__file__).parent / "golden"
 WORM_FAMILY = samples.all_worms(5, 3)  # 1365 worms

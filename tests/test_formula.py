@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from samples import axiom_instances
 from wormcalc.formula import (
     Bottom,
     Box,
@@ -9,7 +10,6 @@ from wormcalc.formula import (
     Implies,
     Top,
     as_worm,
-    axiom_instances,
     conj,
     disj,
     formula_of_worm,

@@ -1,5 +1,6 @@
-"""Source-level guards: tests that cannot shadow each other, and a package
-that imports nothing outside the standard library."""
+"""Source-level guards: tests that cannot shadow each other, a package
+that imports nothing outside the standard library, and exports that name
+what the modules define."""
 
 import ast
 import sys
@@ -27,3 +28,38 @@ def test_no_shadowed_tests_and_stdlib_only_imports():
                 continue
             for root in roots:
                 assert root == "wormcalc" or root in sys.stdlib_module_names, (path.name, root)
+
+
+def exported(tree):
+    """The names listed in a module's `__all__`, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [element.value for element in node.value.elts]
+    return None
+
+
+def defined(tree):
+    """The names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_exports_are_defined_and_reexports_are_exported():
+    package = ROOT / "src" / "wormcalc"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    for module, tree in trees.items():
+        names = exported(tree)
+        if names is not None:
+            assert sorted(set(names) - defined(tree)) == [], module
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1 and node.module in trees, node.module
+            names = exported(trees[node.module]) or []
+            assert sorted(alias.name for alias in node.names if alias.name not in names) == [], node.module

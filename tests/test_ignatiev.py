@@ -1,16 +1,18 @@
 import itertools
 import random
+import re
 
 import pytest
 
 import samples
+from samples import axiom_instances, relation_holds
+from wormcalc import ignatiev
 from wormcalc.formula import (
     Bottom,
     Box,
     Diamond,
     Implies,
     Top,
-    axiom_instances,
     formula_of_worm,
     parse_formula,
 )
@@ -29,7 +31,6 @@ from wormcalc.ignatiev import (
     parse_coords,
     parse_point,
     print_point,
-    relation_holds,
     render_dot,
     validity_check,
 )
@@ -171,6 +172,13 @@ def test_successors_reject_relations_outside_the_fragment():
             m.successors(n, Point.of([from_int(2)]))
         with pytest.raises(ModalityOutOfRangeError):
             m.edge_count(n)
+    # a point that is no world is refused in the words `forces` uses
+    outside = Point.of([from_int(9)])
+    with pytest.raises(PointNotInModelError) as by_forces:
+        forces(m, outside, Top())
+    with pytest.raises(PointNotInModelError) as by_successors:
+        m.successors(0, outside)
+    assert str(by_successors.value) == str(by_forces.value)
 
 
 def test_validity_examples():
@@ -185,6 +193,83 @@ def test_validity_examples():
     chain = enumerate_submodel(finite_universe(20), 0)
     assert validity_check(deep, chain).value
     assert forces(chain, Point.of([from_int(20)]), deep).value
+
+
+def test_kept_vectors_keep_the_errors():
+    m = enumerate_submodel(finite_universe(2), 1)
+    kept = parse_formula("<0>T")
+    assert not forces(m, Point.of([ZERO]), kept).value
+    assert not validity_check(kept, m).value
+    # an out-of-range formula is refused every time, so its failed query
+    # kept nothing
+    message = re.escape("formula mentions [2] but the submodel stops at [1]")
+    out_of_range = parse_formula("[2]T")
+    for _ in range(2):
+        with pytest.raises(ModalityOutOfRangeError, match=message):
+            forces(m, Point.of([ZERO]), out_of_range)
+    with pytest.raises(ModalityOutOfRangeError, match=message):
+        validity_check(out_of_range, m)
+    # a kept formula still needs a world
+    with pytest.raises(PointNotInModelError, match="is not a world"):
+        forces(m, Point.of([from_int(9)]), kept)
+
+
+def test_equal_formulas_share_answers():
+    m = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
+    text = "<0>[1]<0>T -> [2]<1>T"
+    f, g = parse_formula(text), parse_formula(text)
+    assert f == g and f is not g
+    truth = definitional_truth(m, f)
+    for p in m.worlds:
+        assert forces(m, p, f).value == forces(m, p, g).value == (p in truth)
+    assert validity_check(g, m).value == validity_check(f, m).value == (len(truth) == len(m.worlds))
+
+
+def test_interleaved_queries_agree_with_fresh_models():
+    universe, max_index = [ZERO, from_int(1), W, W_TO_W], 2
+    texts = ("<0>[1]<0>T -> [2]<1>T", "<1>T", "[0]F", "<0><0>T", "[1](<0>T -> [2]F)")
+    formulas = [parse_formula(t) for t in texts]
+    validity_first = enumerate_submodel(universe, max_index)
+    forces_first = enumerate_submodel(universe, max_index)
+    for f in formulas:
+        valid = validity_check(f, enumerate_submodel(universe, max_index))
+        assert validity_check(f, validity_first) == valid
+        for p in validity_first.worlds:
+            fresh = forces(enumerate_submodel(universe, max_index), p, f)
+            assert forces(validity_first, p, f) == fresh
+            assert forces(forces_first, p, f) == fresh
+        assert validity_check(f, forces_first) == valid
+
+
+def node_count(f):
+    match f:
+        case Implies(left=left, right=right):
+            return 1 + node_count(left) + node_count(right)
+        case Box(body=body) | Diamond(body=body):
+            return 1 + node_count(body)
+    return 1
+
+
+def test_each_formula_is_evaluated_once_per_fragment(monkeypatch):
+    # _truth recurses through the module global, so the wrapper sees every
+    # subformula vector built
+    built = []
+    truth = ignatiev._truth
+
+    def counting(m, f):
+        built.append(f)
+        return truth(m, f)
+
+    monkeypatch.setattr(ignatiev, "_truth", counting)
+    m = enumerate_submodel([ZERO, from_int(1), from_int(2), W, W_TO_W], 2)
+    texts = ("<0>[1]<0>T -> [2]<1>T", "<0><1>T", "[0](<1>T -> <0>T)")
+    formulas = [parse_formula(t) for t in texts]
+    for f in formulas:
+        for p in m.worlds:
+            forces(m, p, f)
+    validity_check(formulas[0], m)
+    assert len(m.worlds) > 1
+    assert len(built) == sum(node_count(f) for f in formulas)
 
 
 def test_head_remainder_forcing_semantics():

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 import samples
+from samples import check_invariants
 from wormcalc.ordinal import (
     OMEGA,
     ONE,
     ZERO,
     add,
-    check_invariants,
     compare,
     from_int,
     hyperexp,

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import samples
+from samples import concat, in_worms
 from wormcalc.ignatiev import Point, is_valid_point
 from wormcalc.ordinal import (
     ZERO,
@@ -28,9 +29,7 @@ from wormcalc.worm import (
     TOP,
     Worm,
     compare_worms,
-    concat,
     head,
-    in_worms,
     ordinal_of,
     parse_worm,
     remainder,

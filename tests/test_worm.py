@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import samples
+from samples import concat, in_worms, promote
 from wormcalc.ordinal import (
     OMEGA,
     ONE,
@@ -23,13 +24,10 @@ from wormcalc.worm import (
     TOP,
     Worm,
     compare_worms,
-    concat,
     head,
-    in_worms,
     ordinal_of,
     parse_worm,
     print_worm,
-    promote,
     remainder,
     worm_of_ordinal,
 )
