@@ -50,29 +50,48 @@ class Bottom(Formula):
         return "Bottom()"
 
 
+# The nodes with parts hash once, when they are built, from their parts'
+# stored hashes; so hashing takes constant stack however deep the formula.
+
+
 @dataclass(frozen=True, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self):
         return f"Implies({self.left!r}, {self.right!r})"
 
 
 @dataclass(frozen=True, repr=False)
-class Box(Formula):
+class _Modal(Formula):
+    """The shared shape of Box and Diamond: a natural-number index and a body."""
+
     index: int
     body: Formula
 
+    def __post_init__(self):
+        n = self.index
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"modal index {n!r} must be a natural number")
+        object.__setattr__(self, "_hash", hash((n, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class Box(_Modal):
     def __repr__(self):
         return f"Box({self.index}, {self.body!r})"
 
 
-@dataclass(frozen=True, repr=False)
-class Diamond(Formula):
-    index: int
-    body: Formula
-
+class Diamond(_Modal):
     def __repr__(self):
         return f"Diamond({self.index}, {self.body!r})"
 

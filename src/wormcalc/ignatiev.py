@@ -10,8 +10,9 @@ evaluation agrees with the full model, otherwise diamonds are
 underapproximated. Evaluation builds one truth vector over the worlds per
 subformula, so it costs O(|W|*|f|) whatever the nesting depth. A fragment
 evaluates each distinct formula it is asked about once: the first query
-costs O(|W|*|f|), the same formula at each further world costs O(1) beyond
-hashing f, and the vectors live as long as the model.
+costs O(|W|*|f|), the same formula at each further world costs O(1), since
+points and formulas carry the hash taken when they were built, and the
+vectors live as long as the model.
 
 `forces_worm` decides worm statements in constant passes through the
 coordinatewise criterion rank_n(worm) <= coordinate_n. That criterion is
@@ -71,7 +72,8 @@ class Point:
 
     Canonical support: the final stored coordinate is nonzero unless the
     point is the root, stored as the single coordinate 0. Equal points are
-    therefore structurally identical.
+    therefore structurally identical. The hash is taken once, from the
+    coordinates' stored hashes, when the point is built.
     """
 
     coords: tuple[Ordinal, ...]
@@ -81,6 +83,10 @@ class Point:
             raise ValueError("a point stores at least one coordinate")
         if len(self.coords) > 1 and self.coords[-1].is_zero:
             raise ValueError("non-canonical point: trailing zero coordinate")
+        object.__setattr__(self, "_hash", hash(self.coords))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, coords: Iterable[Ordinal]) -> "Point":
@@ -322,7 +328,7 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     otherwise diamonds are underapproximated and the result says so. The
     first query of f on m costs O(|W|*|f|) for |W| worlds, whatever the
     nesting depth; m keeps f's truth vector, so f at each further world
-    costs O(1) beyond hashing f.
+    costs O(1).
     """
     i = m._position(p)
     return ForcingResult(_vector(m, f)[i], m.witness_complete)
@@ -334,7 +340,8 @@ def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
     A False answer on a witness-complete fragment refutes theoremhood in
     the closed fragment; a True answer is only a necessary condition. The
     cost is O(|W|*|f|) for |W| worlds, whatever the nesting depth, and
-    shares f's truth vector with `forces` on the same model.
+    shares f's truth vector with `forces` on the same model, so once the
+    vector is kept a query costs O(|W|).
     """
     return ForcingResult(all(_vector(m, f)), m.witness_complete)
 

@@ -3,6 +3,16 @@
 An ordinal is a finite sum w^e1*c1 + ... + w^ek*ck with ordinal exponents
 e1 > e2 > ... > ek and positive integer coefficients; the empty sum is 0.
 Canonical form is unique, so structural equality decides ordinal equality.
+
+Each value is hashed once, when it is built, and carries an order key: the
+flat tuple (key of e1, c1, key of e2, c2, ...). Python compares tuples
+lexicographically, item by item, and a proper prefix is smaller; on the key
+that is exponent before coefficient, term by term, which is exactly the CNF
+order. So `compare` is one tuple comparison in C. The hash and the key are
+built in constant stack from the exponents' own, whatever the nesting; a
+comparison of two distinct values descends one level of C per level of
+nesting, as deep as a recursive compare would.
+
 Provided operations are the ones the worm calculus needs: comparison,
 (non-commutative) addition, w-powers, the last-exponent map and the
 hyperexponentials; general multiplication and exponentiation are out of
@@ -33,25 +43,44 @@ __all__ = [
 
 
 @total_ordering
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Ordinal:
     """Cantor normal form: a tuple of (exponent, coefficient) terms.
 
     Instances are immutable and validated on construction, so any reachable
     value is canonical. Exponents are themselves Ordinals; coefficients are
-    positive ints. The empty term tuple is 0.
+    positive ints (not bools). The empty term tuple is 0.
+
+    Construction also stores the hash of the terms, which hashes only the
+    exponents' stored hashes, and the order key (key of e1, c1, ...), whose
+    tuple order is the CNF order. Equality checks identity, then the
+    hashes, then the keys.
     """
 
     terms: tuple[tuple["Ordinal", int], ...] = ()
 
     def __post_init__(self):
-        for i, (exponent, coefficient) in enumerate(self.terms):
+        key = []
+        for exponent, coefficient in self.terms:
             if not isinstance(exponent, Ordinal):
                 raise TypeError(f"exponent {exponent!r} is not an Ordinal")
-            if not isinstance(coefficient, int) or coefficient < 1:
+            if isinstance(coefficient, bool) or not isinstance(coefficient, int) or coefficient < 1:
                 raise ValueError(f"coefficient {coefficient!r} must be a positive int")
-            if i > 0 and compare(self.terms[i - 1][0], exponent) <= 0:
+            if key and key[-2] <= exponent._key:
                 raise ValueError("exponents must be strictly decreasing")
+            key += (exponent._key, coefficient)
+        object.__setattr__(self, "_key", tuple(key))
+        object.__setattr__(self, "_hash", hash(self.terms))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
 
     @property
     def is_zero(self) -> bool:
@@ -73,7 +102,7 @@ class Ordinal:
     def __lt__(self, other: "Ordinal") -> bool:
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return compare(self, other) < 0
+        return self._key < other._key
 
     def __str__(self) -> str:
         return print_ordinal(self)
@@ -97,17 +126,10 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     """Total order on canonical forms: -1, 0 or 1.
 
     Lexicographic on the term lists, comparing exponents before
-    coefficients; a proper prefix is smaller.
+    coefficients; a proper prefix is smaller. That is the tuple order of
+    the order keys, so this is one comparison of tuples.
     """
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    return (a._key > b._key) - (a._key < b._key)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:

@@ -35,7 +35,7 @@ class Worm:
 
     def __post_init__(self):
         for letter in self.letters:
-            if not isinstance(letter, int) or letter < 0:
+            if isinstance(letter, bool) or not isinstance(letter, int) or letter < 0:
                 raise ValueError(f"letter {letter!r} must be a natural number")
 
     @property
@@ -81,10 +81,18 @@ def _rank(letters: tuple[int, ...], base: int) -> Ordinal:
     m = min(letters)
     if m > base:
         return hyperexp(m - base, _rank(letters, m))
-    # split at the leftmost base letter; any split point gives the same
-    # value, which the test suite certifies exhaustively
-    i = letters.index(base)
-    return add(add(_rank(letters[i + 1 :], base), ONE), _rank(letters[:i], base))
+    # split at every base letter, B_0 base B_1 ... base B_k, in one loop:
+    # the rank is rank(B_k) + 1 + ... + 1 + rank(B_0), and only the blocks,
+    # whose letters are all above base, recurse
+    blocks, start = [], 0
+    for i, letter in enumerate(letters):
+        if letter == base:
+            blocks.append(letters[start:i])
+            start = i + 1
+    value = _rank(letters[start:], base)
+    for block in reversed(blocks):
+        value = add(add(value, ONE), _rank(block, base))
+    return value
 
 
 def ordinal_of(a: Worm, level: int = 0) -> Ordinal:

@@ -104,6 +104,24 @@ def in_worms(a: Worm, n: int) -> bool:
     return all(letter >= n for letter in a.letters)
 
 
+def recursive_compare(a: Ordinal, b: Ordinal) -> int:
+    """The CNF order read off the terms: -1, 0 or 1.
+
+    Lexicographic on the term lists, comparing exponents (recursively)
+    before coefficients; a proper prefix is smaller. An oracle for the
+    order keys behind `compare`.
+    """
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = recursive_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
 def check_invariants(a: Ordinal) -> None:
     """Deep re-validation of a Cantor normal form; raises on any violation."""
     if not isinstance(a, Ordinal):
@@ -112,7 +130,7 @@ def check_invariants(a: Ordinal) -> None:
         check_invariants(exponent)
         if not isinstance(coefficient, int) or coefficient < 1:
             raise ValueError(f"bad coefficient {coefficient!r} in {a!r}")
-        if i > 0 and compare(a.terms[i - 1][0], exponent) <= 0:
+        if i > 0 and recursive_compare(a.terms[i - 1][0], exponent) <= 0:
             raise ValueError(f"exponents not strictly decreasing in {a!r}")
 
 

@@ -185,10 +185,12 @@ def test_parse_errors_exit_2(capsys):
 
 
 def test_deep_inputs_exit_2(capsys):
+    # long flat worms have no nesting: ranks split at every base letter in a loop
+    assert run(capsys, "o", ".".join(["0"] * 1200)) == (0, "1200", "")
+    assert run(capsys, "o", "--ascii", ".".join(["1"] * 1500)) == (0, "w^1500", "")
     # nesting past the recursion limit is refused, never a traceback with exit 1
     for argv in (
         ("spectrum", '{"entries":{"1200":"1200"}}'),
-        ("o", ".".join(["0"] * 1200)),
         ("worm-of", "0", "w^" * 2000 + "1"),
         ("valid", "--universe", "finite:3", "~" * 3000 + "T"),
     ):

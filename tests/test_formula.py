@@ -44,6 +44,32 @@ def test_parse_errors_carry_position():
             parse_formula(text)
 
 
+def test_modal_index_must_be_natural():
+    for index in (-1, True, False, 1.0, "0", None):
+        for node in (Box, Diamond):
+            with pytest.raises(ValueError):
+                node(index, Top())
+
+
+def test_equal_formulas_share_hash_and_dict_entry():
+    instances = axiom_instances([parse_worm("1"), parse_worm("0.1")], 1)
+    copies = [parse_formula(print_formula(f)) for f in instances]
+    assert all(c is not f and c == f and hash(c) == hash(f) for f, c in zip(instances, copies))
+    table = {f: i for i, f in enumerate(instances)}
+    assert [table[c] for c in copies] == list(range(len(instances)))
+
+
+def test_deep_chains_hash_in_constant_stack():
+    # 3000 levels, built in loops; the recursion limit is 1000
+    negations, boxes = Top(), Top()
+    for _ in range(3000):
+        negations, boxes = neg(negations), Box(0, boxes)
+    for f in (negations, boxes):
+        assert hash(f) == hash(f)
+        assert {f: 1}[f] == 1
+        assert f == f
+
+
 def test_as_worm():
     assert as_worm(Diamond(2, Diamond(1, Top()))) == Worm((2, 1))
     assert as_worm(Top()) == TOP

@@ -57,6 +57,26 @@ def test_point_canonical_form():
         Point(())
 
 
+def test_equal_points_share_hash_and_dict_entry():
+    m = enumerate_submodel([parse_ordinal(t) for t in ("0", "1", "2", "w", "w+1", "w^2", "w^w")], 2)
+    copies = [parse_point(print_point(p)) for p in m.worlds]
+    assert all(c is not p and c == p and hash(c) == hash(p) for p, c in zip(m.worlds, copies))
+    assert all(c in m for c in copies)
+    table = {p: i for i, p in enumerate(m.worlds)}
+    assert [table[c] for c in copies] == list(range(len(m.worlds)))
+
+
+def test_point_hash_takes_constant_stack():
+    # a coordinate that is a 1200-high w-tower, built in a loop
+    tower = from_int(1)
+    for _ in range(1200):
+        tower = omega_power(tower)
+    p = Point((tower,))
+    assert hash(p) == hash(p)
+    assert {p: 1}[p] == 1
+    assert compare(p.coord(0), tower) == 0 and p == p
+
+
 def test_point_text_round_trip():
     assert parse_point("<w^w, w, 1>") == ISIGMA1
     assert print_point(ISIGMA1) == "<w^w, w, 1>"

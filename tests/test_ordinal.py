@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 import samples
-from samples import check_invariants
+from samples import check_invariants, recursive_compare
 from wormcalc.ordinal import (
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
     add,
     compare,
     from_int,
@@ -155,6 +156,52 @@ def _cmp_key(x):
     from functools import cmp_to_key
 
     return cmp_to_key(compare)(x)
+
+
+def test_cached_hash_and_key_agree_with_structure():
+    # every pair of the sample, the right one a distinct but equal copy
+    sample = samples.ordinal_sample()
+    copies = [parse_ordinal(print_ordinal(x)) for x in sample]
+    for a in sample:
+        for b in copies:
+            want = recursive_compare(a, b)
+            assert compare(a, b) == want, (a, b)
+            assert (a < b, a == b, a > b) == (want < 0, want == 0, want > 0), (a, b)
+            if want == 0:
+                assert hash(a) == hash(b), a
+    table = {x: i for i, x in enumerate(sample)}
+    assert [table[x] for x in copies] == list(range(len(sample)))
+
+
+def test_hashing_takes_constant_stack():
+    # a 1200-high w-tower, built in a loop; the recursion limit is 1000
+    tower = ONE
+    for _ in range(1200):
+        tower = omega_power(tower)
+    assert hash(tower) == hash(tower)
+    assert {tower: 1}[tower] == 1
+    assert compare(tower, tower) == 0 and tower == tower
+    # distinct values descend one level of C per level of nesting, as deep
+    # as a recursive compare would
+    low, high = ONE, OMEGA
+    for _ in range(600):
+        low, high = omega_power(low), omega_power(high)
+    assert compare(low, high) == -1 and low < high and low != high
+    assert compare(low, hyperexp(600, ONE)) == 0 and low == hyperexp(600, ONE)
+
+
+def test_constructor_refuses_ill_typed_terms():
+    for terms in (
+        ((ZERO, True),),
+        ((ZERO, 0),),
+        ((ZERO, 1.0),),
+        ((ONE, 1), (ONE, 1)),
+        ((ZERO, 1), (ONE, 1)),
+    ):
+        with pytest.raises(ValueError):
+            Ordinal(terms)
+    with pytest.raises(TypeError):
+        Ordinal(((0, 1),))
 
 
 def test_compare_agrees_with_polynomial_oracle():

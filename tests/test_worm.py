@@ -96,6 +96,12 @@ def test_parse_print():
             parse_worm(text)
 
 
+def test_constructor_refuses_ill_typed_letters():
+    for letters in ((True, False), (1, True), (-1,), (1.0,), ("0",)):
+        with pytest.raises(ValueError):
+            Worm(letters)
+
+
 def test_membership_predicate():
     assert in_worms(TOP, 9)
     assert in_worms(parse_worm("2.1"), 1)
@@ -112,7 +118,8 @@ def test_concatenation_identity():
 
 
 def test_split_independence_exhaustive():
-    # rank computed by splitting at any zero must agree with the leftmost split
+    # rank computed by splitting at any one zero must agree with the split at
+    # every zero that ordinal_of makes
     for a in samples.all_worms(6, 3):
         value = ordinal_of(a)
         for i, letter in enumerate(a.letters):
