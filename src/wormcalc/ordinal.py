@@ -51,10 +51,8 @@ class Ordinal:
     value is canonical. Exponents are themselves Ordinals; coefficients are
     positive ints (not bools). The empty term tuple is 0.
 
-    Construction also stores the hash of the terms, which hashes only the
-    exponents' stored hashes, and the order key (key of e1, c1, ...), whose
-    tuple order is the CNF order. Equality checks identity, then the
-    hashes, then the keys.
+    Construction also stores the hash and the order key described above.
+    Equality checks identity, then the hashes, then the keys.
     """
 
     terms: tuple[tuple["Ordinal", int], ...] = ()
