@@ -52,6 +52,35 @@ class Bottom(Formula):
 
 # The nodes with parts hash once, when they are built, from their parts'
 # stored hashes; so hashing takes constant stack however deep the formula.
+# They compare by `_equal`, which walks the two trees on an explicit stack,
+# so equality takes constant stack too.
+
+
+def _equal(f: Formula, g: object) -> bool:
+    """Structural equality: the node types, stored hashes and indices, pair
+    by pair down both trees; an implication's right parts wait on a stack."""
+    if not isinstance(g, Formula):
+        return NotImplemented
+    pending = []
+    while True:
+        while f is not g:
+            kind = type(f)
+            if kind is not type(g):
+                return False
+            if kind is Implies:
+                if f._hash != g._hash:
+                    return False
+                pending.append((f.right, g.right))
+                f, g = f.left, g.left
+            elif kind is Box or kind is Diamond:
+                if f._hash != g._hash or f.index != g.index:
+                    return False
+                f, g = f.body, g.body
+            else:  # Top or Bottom
+                break
+        if not pending:
+            return True
+        f, g = pending.pop()
 
 
 @dataclass(frozen=True, repr=False)
@@ -64,6 +93,8 @@ class Implies(Formula):
 
     def __hash__(self) -> int:
         return self._hash
+
+    __eq__ = _equal
 
     def __repr__(self):
         return f"Implies({self.left!r}, {self.right!r})"
@@ -84,6 +115,8 @@ class _Modal(Formula):
 
     def __hash__(self) -> int:
         return self._hash
+
+    __eq__ = _equal
 
 
 class Box(_Modal):

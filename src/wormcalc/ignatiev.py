@@ -14,11 +14,12 @@ costs O(|W|*|f|), the same formula at each further world costs O(1), since
 points and formulas carry the hash taken when they were built, and the
 vectors live as long as the model.
 
-`forces_worm` decides worm statements in constant passes through the
-coordinatewise criterion rank_n(worm) <= coordinate_n. That criterion is
-folklore rather than textbook; the test suite certifies it by exhaustive
-agreement with the definitional evaluator on exact fragments, and any
-disagreement fails the build.
+`forces_worm` decides worm statements through the coordinatewise criterion
+rank_n(worm) <= coordinate_n. The ranks are taken once per worm object
+(`Worm.ranks`), so each further world costs one order-key comparison per
+level. That criterion is folklore rather than textbook; the test suite
+certifies it by exhaustive agreement with the definitional evaluator on
+exact fragments, and any disagreement fails the build.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 from . import formula as fm
 from .ordinal import ZERO, Ordinal, compare, last_exponent, parse_ordinal, print_ordinal
 from .parsing import ParseError
-from .worm import Worm, ordinal_of
+from .worm import Worm
 
 __all__ = [
     "Point",
@@ -163,14 +164,24 @@ def min_point_for_worm(a: Worm) -> Point:
     This is the spectrum of the theory axiomatized by the worm; it always
     satisfies the world condition.
     """
-    top = (max(a.letters) + 1) if a.letters else 0
-    return Point.of(ordinal_of(a, n) for n in range(top + 1))
+    return Point.of(a.ranks)
 
 
 def forces_worm(p: Point, a: Worm) -> bool:
-    """Decide a worm statement at a world via the coordinatewise rank criterion."""
-    top = (max(a.letters) + 1) if a.letters else 0
-    return all(compare(ordinal_of(a, n), p.coord(n)) <= 0 for n in range(top + 1))
+    """Decide a worm statement at a world via the coordinatewise rank criterion.
+
+    The worm's ranks are taken once per worm object; at each world the test
+    is one order-key comparison per level up to the point's support.
+    """
+    coords, ranks = p.coords, a.ranks
+    # the ranks form a world, so once one is 0 all later ones are: a rank
+    # past the support is nonzero iff the first one there is
+    if len(ranks) > len(coords) and ranks[len(coords)].terms:
+        return False
+    for r, c in zip(ranks, coords):
+        if r._key > c._key:
+            return False
+    return True
 
 
 class FiniteSubmodel:
@@ -216,6 +227,11 @@ class FiniteSubmodel:
         self.witness_complete = all(u.is_finite for u in self.universe) and [
             u.as_int() for u in self.universe
         ] == list(range(len(self.universe)))
+        # the two answers forces and validity_check give, indexed by value
+        self._results = (
+            ForcingResult(False, self.witness_complete),
+            ForcingResult(True, self.witness_complete),
+        )
 
     def _generate(self) -> tuple[tuple[Point, ...], list[tuple]]:
         """The worlds in walk order, and each world's span per relation."""
@@ -331,7 +347,7 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     costs O(1).
     """
     i = m._position(p)
-    return ForcingResult(_vector(m, f)[i], m.witness_complete)
+    return m._results[_vector(m, f)[i]]
 
 
 def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
@@ -343,7 +359,7 @@ def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
     shares f's truth vector with `forces` on the same model, so once the
     vector is kept a query costs O(|W|).
     """
-    return ForcingResult(all(_vector(m, f)), m.witness_complete)
+    return m._results[all(_vector(m, f))]
 
 
 # --- DOT rendering ------------------------------------------------------
@@ -373,8 +389,10 @@ def render_dot(
         if p not in m:
             raise PointNotInModelError(f"label {labels[p]!r}: {p} is not a world of {m!r}")
     lines = ["digraph ignatiev {", "  node [shape=box];"]
+    # print_point of each world, with each universe element printed once
+    printed = {u: print_ordinal(u) for u in m.universe}
     for i, p in enumerate(m.worlds):
-        text = print_point(p)
+        text = "<" + ", ".join([printed[c] for c in p.coords]) + ">"
         if p in labels:
             text = f"{labels[p]}\\n{text}"
         lines.append(f'  n{i} [label="{text}"];')

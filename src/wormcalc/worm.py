@@ -11,7 +11,7 @@ proof search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ordinal import ONE, ZERO, Ordinal, add, compare, hyperexp
 from .parsing import Cursor, ParseError
@@ -41,6 +41,17 @@ class Worm:
     @property
     def is_empty(self) -> bool:
         return not self.letters
+
+    @cached_property
+    def ranks(self) -> tuple[Ordinal, ...]:
+        """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
+
+        Taken once per worm object and kept in the instance dict, outside the
+        dataclass fields, so equality, hashing and repr still see only the
+        letters.
+        """
+        top = max(self.letters) + 1 if self.letters else 0
+        return tuple(ordinal_of(self, n) for n in range(top + 1))
 
     def __len__(self) -> int:
         return len(self.letters)

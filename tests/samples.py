@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from wormcalc.formula import Bottom, Box, Diamond, Formula, Implies, disj, formula_of_worm, neg
 from wormcalc.ignatiev import Point
 from wormcalc.ordinal import ZERO, Ordinal, compare, from_int
-from wormcalc.worm import Worm
+from wormcalc.worm import Worm, ordinal_of
 
 MAX_COEFF = 4
 
@@ -140,6 +140,15 @@ def relation_holds(n: int, p: Point, q: Point) -> bool:
         if p.coord(i) != q.coord(i):
             return False
     return compare(p.coord(n), q.coord(n)) > 0
+
+
+def rank_criterion(p: Point, a: Worm) -> bool:
+    """The coordinatewise rank criterion with every rank taken afresh: worm a
+    holds at p iff ordinal_of(a, n) <= coordinate n for every level n up to
+    the worm's max letter + 1. An oracle for `forces_worm`, which takes the
+    ranks once per worm and compares order keys."""
+    top = (max(a.letters) + 1) if a.letters else 0
+    return all(compare(ordinal_of(a, n), p.coord(n)) <= 0 for n in range(top + 1))
 
 
 def axiom_instances(worm_pool: list[Worm], max_index: int) -> list[Formula]:

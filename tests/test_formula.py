@@ -70,6 +70,24 @@ def test_deep_chains_hash_in_constant_stack():
         assert f == f
 
 
+def test_separately_built_deep_chains_compare_in_constant_stack():
+    # two copies of each 3000-deep chain, built in loops, and one copy that
+    # differs only at the bottom; the recursion limit is 1000
+    def chain(wrap, bottom):
+        f = bottom
+        for _ in range(3000):
+            f = wrap(f)
+        return f
+
+    for wrap in (neg, lambda f: Box(0, f)):
+        a, b, other = chain(wrap, Top()), chain(wrap, Top()), chain(wrap, Bottom())
+        assert a is not b and a == b and not a != b
+        assert {a: 1}.get(b) == 1 and {a: 1, b: 2} == {a: 2}
+        assert a != other and {a: 1}.get(other) is None
+    boxes, diamonds = chain(lambda f: Box(0, f), Top()), chain(lambda f: Diamond(0, f), Top())
+    assert boxes != diamonds and boxes != chain(lambda f: Box(1, f), Top())
+
+
 def test_as_worm():
     assert as_worm(Diamond(2, Diamond(1, Top()))) == Worm((2, 1))
     assert as_worm(Top()) == TOP

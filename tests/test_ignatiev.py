@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -5,8 +6,8 @@ import re
 import pytest
 
 import samples
-from samples import axiom_instances, relation_holds
-from wormcalc import ignatiev
+from samples import axiom_instances, rank_criterion, relation_holds
+from wormcalc import ignatiev, worm
 from wormcalc.formula import (
     Bottom,
     Box,
@@ -18,6 +19,7 @@ from wormcalc.formula import (
 )
 from wormcalc.ignatiev import (
     FiniteSubmodel,
+    ForcingResult,
     ModalityOutOfRangeError,
     Point,
     PointNotInModelError,
@@ -35,7 +37,7 @@ from wormcalc.ignatiev import (
     validity_check,
 )
 from wormcalc.ordinal import ZERO, compare, from_int, last_exponent, omega_power, parse_ordinal
-from wormcalc.worm import TOP, Worm, head, parse_worm, remainder
+from wormcalc.worm import TOP, Worm, head, ordinal_of, parse_worm, remainder
 
 W = parse_ordinal("w")
 W_TO_W = parse_ordinal("w^w")
@@ -292,6 +294,42 @@ def test_each_formula_is_evaluated_once_per_fragment(monkeypatch):
     assert len(built) == sum(node_count(f) for f in formulas)
 
 
+def test_worm_ranks_are_taken_once_per_worm(monkeypatch):
+    # Worm.ranks looks ordinal_of up in the worm module, so the wrapper sees
+    # every rank forces_worm needs, counted per worm object
+    calls = collections.Counter()
+    rank = worm.ordinal_of
+
+    def counting(a, level=0):
+        calls[id(a)] += 1
+        return rank(a, level)
+
+    monkeypatch.setattr(worm, "ordinal_of", counting)
+    m = enumerate_submodel([ZERO, from_int(1), from_int(2), W, W_TO_W], 2)
+    worms = [parse_worm(t) for t in ("0", "1.0", "2", "0.1.2", "2.1", "1.1")]
+    assert len(m.worlds) == 10
+    for p in m.worlds:
+        for a in worms:
+            forces_worm(p, a)
+    for a in worms:
+        assert 0 < calls[id(a)] <= max(a.letters) + 2, a
+
+    # forces and validity_check answer with the same values a fresh
+    # ForcingResult holds, on an exact fragment and on one that is not
+    models = [enumerate_submodel(finite_universe(3), 1), m]
+    assert [model.witness_complete for model in models] == [True, False]
+    values = set()
+    for model in models:
+        for f in (parse_formula("<0><0>T"), parse_formula("[1]<0>T")):
+            truth = definitional_truth(model, f)
+            for p in model.worlds:
+                assert forces(model, p, f) == ForcingResult(p in truth, model.witness_complete)
+                values.add(p in truth)
+            valid = len(truth) == len(model.worlds)
+            assert validity_check(f, model) == ForcingResult(valid, model.witness_complete)
+    assert values == {False, True}
+
+
 def test_head_remainder_forcing_semantics():
     worms = samples.all_worms(4, 2)
     points = [min_point_for_worm(a) for a in samples.all_worms(3, 2)]
@@ -358,6 +396,20 @@ def test_render_dot_labels_and_styles():
     assert 'label="PRA\\n<w^w, w>"' in dot
     assert 'color="black:invis:black"' in dot
     assert 'color="black:invis:black:invis:black"' in dot
+
+
+def test_render_dot_labels_print_multi_term_coordinates():
+    m = enumerate_submodel(closed_universe(["w^w+w", "w^(w+1)", "w*2+1"]), 2)
+    assert any(len(c.terms) > 1 for p in m.worlds for c in p.coords)
+    names = {p: f"W{i}" for i, p in enumerate(m.worlds) if i % 2}
+    for labels in (None, names):
+        nodes = re.findall(r'^  n(\d+) \[label="(.*)"\];$', render_dot(m, labels=labels), re.M)
+        assert [int(i) for i, _ in nodes] == list(range(len(m.worlds)))
+        for (_, text), p in zip(nodes, m.worlds):
+            expected = print_point(p)
+            if labels and p in labels:
+                expected = f"{labels[p]}\\n{expected}"
+            assert text == expected
 
 
 def test_render_dot_labels_must_be_worlds():
@@ -444,6 +496,17 @@ def test_structural_relations_match_definitions():
                 into.extend(sorted((n, index[p], index[q]) for p, q in edges))
         assert drawn_arrows(render_dot(m)) == covers
         assert drawn_arrows(render_dot(m, reduce_transitive=False)) == full
+
+
+def test_forces_worm_agrees_with_rank_criterion():
+    # each world of the suite's fragments once, and finite:0..6 at max index 3
+    fragments = list(suite_fragments()) + [(finite_universe(k), 3) for k in range(7)]
+    worlds = {p for universe, max_index in fragments for p in enumerate_submodel(universe, max_index).worlds}
+    for a in samples.all_worms(4, 3):
+        top = max(a.letters) + 1 if a.letters else 0
+        assert min_point_for_worm(a) == Point.of(ordinal_of(a, n) for n in range(top + 1))
+        for p in worlds:
+            assert forces_worm(p, a) == rank_criterion(p, a), (p, a)
 
 
 def definitional_truth(m, g):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import defaultdict
 from functools import cmp_to_key
@@ -57,6 +58,17 @@ def test_rank_examples():
     assert ordinal_of(parse_worm("1.0.1")) == parse_ordinal("w*2")
     assert ordinal_of(parse_worm("0.1")) == parse_ordinal("w+1")
     assert ordinal_of(parse_worm("2")) == parse_ordinal("w^w")
+
+
+def test_rank_cache_stays_outside_the_fields():
+    assert [f.name for f in dataclasses.fields(Worm)] == ["letters"]
+    for a in samples.all_worms(3, 2):
+        cached, fresh = Worm(a.letters), Worm(a.letters)
+        top = max(a.letters) + 1 if a.letters else 0
+        assert cached.ranks == tuple(ordinal_of(a, n) for n in range(top + 1))
+        assert "ranks" in vars(cached) and "ranks" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh) and repr(cached) == repr(fresh)
+        assert dataclasses.replace(cached) == fresh and "ranks" not in vars(dataclasses.replace(cached))
 
 
 def test_rank_at_level_examples():
