@@ -251,6 +251,9 @@ class FiniteSubmodel:
                 previous = i
 
         extend((), 0, self.universe[-1])
+        # extend reaches itself through its closure cell; clearing the cell
+        # breaks that cycle, so a dropped fragment is freed at once
+        del extend
         return tuple(worlds), spans
 
     def _position(self, p: Point) -> int:

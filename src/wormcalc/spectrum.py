@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Union
 
 from .ignatiev import Point, min_point_for_worm, print_point, valid_point
@@ -77,15 +78,35 @@ class TheoryPresentation:
             data = json.loads(data)
         if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
             raise ValueError('presentation JSON needs an "entries" object')
-        entries = {}
+        name = data.get("name")
+        if "name" in data and not isinstance(name, str):
+            raise ValueError('the presentation "name" must be a string')
+        entries = []
         for key, text in data["entries"].items():
-            if not (str(key).isascii() and str(key).isdigit()):
-                raise ValueError(f"level {key!r} must be a natural number")
+            # distinct keys name distinct levels only without leading zeros
+            if not (isinstance(key, str) and key.isdigit() and key.isascii()) or (
+                key[0] == "0" and len(key) > 1
+            ):
+                raise ValueError(
+                    f"level {key!r} must be a natural number without leading zeros"
+                )
             if not isinstance(text, str):
                 raise ValueError(f"the worm at level {key} must be a string")
-            entries[int(key)] = parse_worm(text)
-        name = data.get("name")
-        return cls.of(entries, name)
+            entries.append((int(key), parse_worm(text)))
+        entries.sort(key=itemgetter(0))
+        return cls._from_checked(tuple(entries), name)
+
+    @classmethod
+    def _from_checked(
+        cls, entries: tuple[tuple[int, Worm], ...], name: str | None
+    ) -> "TheoryPresentation":
+        """A presentation whose levels are already known to be naturals,
+        sorted and distinct, built without running __post_init__'s check
+        again."""
+        presentation = object.__new__(cls)
+        object.__setattr__(presentation, "entries", entries)
+        object.__setattr__(presentation, "name", name)
+        return presentation
 
     def __repr__(self):
         inner = ", ".join(f"{level}: {print_worm(w)!r}" for level, w in self.entries)

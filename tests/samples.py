@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from wormcalc.formula import Bottom, Box, Diamond, Formula, Implies, disj, formula_of_worm, neg
 from wormcalc.ignatiev import Point
 from wormcalc.ordinal import ZERO, Ordinal, compare, from_int
+from wormcalc.parsing import Cursor, ParseError
 from wormcalc.worm import Worm, ordinal_of
 
 MAX_COEFF = 4
@@ -102,6 +103,36 @@ def concat(a: Worm, b: Worm) -> Worm:
 def in_worms(a: Worm, n: int) -> bool:
     """Membership in the level-n fragment: every letter at least n."""
     return all(letter >= n for letter in a.letters)
+
+
+def cursor_parse_worm(text: str) -> Worm:
+    """The worm grammar read by a Cursor scan, one letter at a time. An
+    oracle for `parse_worm`, which splits the dot form on "." instead."""
+    cur = Cursor(text.strip())
+    if cur.try_eat("T"):
+        cur.expect_end()
+        return Worm()
+    if cur.peek() == "<":
+        letters = []
+        while cur.try_eat("<"):
+            letters.append(_cursor_index(cur))
+            cur.expect(">")
+        cur.expect("T")
+        cur.expect_end()
+        return Worm(tuple(letters))
+    letters = [_cursor_index(cur)]
+    while cur.try_eat("."):
+        letters.append(_cursor_index(cur))
+    cur.expect_end()
+    return Worm(tuple(letters))
+
+
+def _cursor_index(cur: Cursor) -> int:
+    pos = cur.pos
+    value = cur.natural()
+    if cur.pos - pos > 1 and cur.text[pos] == "0":
+        raise ParseError("indices may not have leading zeros", pos)
+    return value
 
 
 def recursive_compare(a: Ordinal, b: Ordinal) -> int:

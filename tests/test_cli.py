@@ -168,6 +168,9 @@ def test_parse_errors_exit_2(capsys):
         ("spectrum", '{"entries":["0"]}'),
         ("spectrum", '{"entries":null}'),
         ("spectrum", '{"entries":{"0":1}}'),
+        # "01" named level 1 a second time and overwrote it, answering <0>
+        ("spectrum", '{"entries":{"1":"1","01":"0"}}'),
+        ("spectrum", '{"name":[1,2],"entries":{"0":"0"}}'),
         ("o", "١"),
         ("o", "²"),
         ("worm-of", "0", "w*١"),

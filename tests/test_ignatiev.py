@@ -1,7 +1,9 @@
 import collections
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import pytest
 
@@ -551,3 +553,18 @@ def test_evaluator_matches_definition():
                 assert (result.value, result.exact) == (p in truth, m.witness_complete), (universe, p, f)
             result = validity_check(f, m)
             assert (result.value, result.exact) == (len(truth) == len(m.worlds), m.witness_complete), (universe, f)
+
+
+def test_dropped_fragment_is_freed_without_the_cycle_collector():
+    # nothing of a fragment refers back to it, so dropping the last reference
+    # frees it at once, with the cyclic collector switched off
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = enumerate_submodel([from_int(i) for i in range(4)], 2)
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -117,9 +117,28 @@ def test_presentation_json_round_trip():
         '{"entries":{"0":1}}',
         '{"entries":{"x":"T"}}',
         '{"entries":{"١":"T"}}',
+        # a leading zero would let two keys name one level
+        '{"entries":{"1":"1","01":"0"}}',
+        '{"entries":{"00":"T"}}',
+        '{"entries":{"":"T"}}',
+        # keys are strings, as in JSON text; 1 would collide with "1"
+        {"entries": {1: "1", "1": "0"}},
+        # the name is a string when present
+        '{"name":[1,2],"entries":{"0":"0"}}',
+        '{"name":3,"entries":{}}',
+        '{"name":null,"entries":{}}',
     ):
         with pytest.raises((ValueError,)):
             TheoryPresentation.from_json(bad)
+
+
+def test_presentation_json_builds_sorted_entries():
+    t = TheoryPresentation.from_json('{"entries":{"10":"T","0":"0","2":"1.0"}}')
+    assert t.entries == ((0, parse_worm("0")), (2, parse_worm("1.0")), (10, TOP))
+    public = TheoryPresentation(t.entries)
+    assert t == public and hash(t) == hash(public)
+    assert TheoryPresentation.from_json('{"entries":{}}').name is None
+    assert TheoryPresentation.from_json('{"name":"","entries":{}}').name == ""
 
 
 def test_spectrum_of_worm_examples():

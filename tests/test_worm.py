@@ -24,6 +24,7 @@ from wormcalc.parsing import ParseError
 from wormcalc.worm import (
     TOP,
     Worm,
+    _rank,
     compare_worms,
     head,
     ordinal_of,
@@ -106,6 +107,48 @@ def test_parse_print():
     for text in ["", "2.", ".1", "2..1", "<1>", "T.1", "<01>T", "02", "١", "²", "1.²", "<١>T"]:
         with pytest.raises(ParseError):
             parse_worm(text)
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as error:
+        return (str(error), error.position)
+
+
+def test_parse_worm_agrees_with_the_cursor_oracle():
+    # every string up to length 5 over digits, dot, T, brackets, a letter and
+    # space: equal worms, or parse errors with the same message and position
+    alphabet = "01.T<>a "
+    checked = 0
+    for length in range(6):
+        for chars in itertools.product(alphabet, repeat=length):
+            text = "".join(chars)
+            assert _outcome(parse_worm, text) == _outcome(samples.cursor_parse_worm, text), text
+            checked += 1
+    assert checked == sum(len(alphabet) ** k for k in range(6))
+    for text in ["", "2.", ".1", "2..1", "02", "1.02", "1.2x.3", "١", "²", "1.²", "0²", " 10.2 ", "T.1"]:
+        assert _outcome(parse_worm, text) == _outcome(samples.cursor_parse_worm, text), text
+
+
+def test_parsed_and_canonical_worms_match_constructed_ones():
+    # parse_worm and worm_of_ordinal skip the constructor's letter check
+    built = []
+    for a in samples.all_worms(4, 3):
+        built += [parse_worm(print_worm(a)), parse_worm(print_worm(a, diamonds=True))]
+    for x in samples.ordinal_sample()[:80]:
+        built += [worm_of_ordinal(x, n) for n in range(3)]
+    for b in built:
+        fresh = Worm(b.letters)
+        assert type(b.letters) is tuple and all(type(letter) is int for letter in b.letters)
+        assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+        assert b.ranks == fresh.ranks
+
+
+def test_rank_memo_is_bounded():
+    info = _rank.cache_info()
+    # finite, and far above the 498 entries the acceptance family fills
+    assert info.maxsize is not None and info.maxsize >= 10_000
 
 
 def test_constructor_refuses_ill_typed_letters():
