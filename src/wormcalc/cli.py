@@ -17,15 +17,7 @@ from . import ignatiev as ig
 from . import spectrum as sp
 from .ordinal import from_int, last_exponent, parse_ordinal, print_ordinal
 from .parsing import Cursor, ParseError
-from .worm import (
-    compare_worms,
-    head,
-    ordinal_of,
-    parse_worm,
-    print_worm,
-    remainder,
-    worm_of_ordinal,
-)
+from .worm import compare_worms, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
 
 _COMPARISON_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
 
@@ -214,22 +206,21 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_head(args) -> int:
-    result = head(parse_worm(args.worm), args.level)
+def _emit_worm(args, result) -> int:
     _emit(args, print_worm(result), {"worm": print_worm(result)})
     return 0
+
+
+def _cmd_head(args) -> int:
+    return _emit_worm(args, head(parse_worm(args.worm), args.level))
 
 
 def _cmd_rem(args) -> int:
-    result = remainder(parse_worm(args.worm), args.level)
-    _emit(args, print_worm(result), {"worm": print_worm(result)})
-    return 0
+    return _emit_worm(args, remainder(parse_worm(args.worm), args.level))
 
 
 def _cmd_worm_of(args) -> int:
-    result = worm_of_ordinal(parse_ordinal(args.ordinal), args.level)
-    _emit(args, print_worm(result), {"worm": print_worm(result)})
-    return 0
+    return _emit_worm(args, worm_of_ordinal(parse_ordinal(args.ordinal), args.level))
 
 
 def _cmd_point_check(args) -> int:

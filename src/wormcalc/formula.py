@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .parsing import Cursor, ParseError
-from .worm import Worm
+from .worm import Worm, _is_natural
 
 __all__ = [
     "Formula",
@@ -38,16 +38,14 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Top(Formula):
-    def __repr__(self):
-        return "Top()"
+    pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Bottom(Formula):
-    def __repr__(self):
-        return "Bottom()"
+    pass
 
 
 # The nodes with parts hash once, when they are built, from their parts'
@@ -108,10 +106,9 @@ class _Modal(Formula):
     body: Formula
 
     def __post_init__(self):
-        n = self.index
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"modal index {n!r} must be a natural number")
-        object.__setattr__(self, "_hash", hash((n, self.body)))
+        if not _is_natural(self.index):
+            raise ValueError(f"modal index {self.index!r} must be a natural number")
+        object.__setattr__(self, "_hash", hash((self.index, self.body)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -177,10 +177,10 @@ def hyperexp(n: int, x: Ordinal) -> Ordinal:
 
 # --- text form ---------------------------------------------------------
 #
-# ordinal ::= "0" | term ("+" term)*
-# term    ::= atom ("*" nat)?
-# atom    ::= nat | "w" | "w^" factor
-# factor  ::= atom | "(" ordinal ")"
+# ordinal  ::= "0" | term ("+" term)*
+# term     ::= nat | power ("*" nat)?
+# power    ::= "w" ("^" exponent)?
+# exponent ::= nat | power | "(" ordinal ")"
 #
 # nat is a nonzero decimal; terms must already be in decreasing exponent
 # order (non-canonical spellings are rejected, not normalized).
@@ -194,57 +194,47 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def _parse_ordinal(cur: Cursor) -> Ordinal:
-    if cur.peek() == "0":
-        mark = cur.pos
-        cur.pos += 1
+    if cur.try_eat("0"):
         if cur.at_digit():
-            raise ParseError("numbers may not have leading zeros", mark)
+            raise ParseError("numbers may not have leading zeros", cur.pos - 1)
         return ZERO
-    parsed = [_parse_term(cur)]
+    # every term is read before the order is checked: a syntax error wins
+    positions, terms = [cur.pos], [_parse_term(cur)]
     while cur.try_eat("+"):
-        parsed.append(_parse_term(cur))
-    result = Ordinal((parsed[0][0],))
-    for term, pos in parsed[1:]:
-        if compare(term[0], result.terms[-1][0]) >= 0:
+        positions.append(cur.pos)
+        terms.append(_parse_term(cur))
+    for (previous, _), (exponent, _), pos in zip(terms, terms[1:], positions[1:]):
+        if compare(exponent, previous) >= 0:
             raise ParseError("non-canonical form: exponents must strictly decrease", pos)
-        result = Ordinal(result.terms + (term,))
-    return result
+    return Ordinal(tuple(terms))
 
 
-def _parse_term(cur: Cursor) -> tuple[tuple[Ordinal, int], int]:
-    pos = cur.pos
-    atom, is_numeral = _parse_atom(cur)
-    if cur.try_eat("*") or cur.try_eat("·"):
-        if is_numeral:
-            raise ParseError("a coefficient may only follow a w-power", cur.pos - 1)
-        coefficient = _nonzero_nat(cur)
-        return ((atom, coefficient), pos)
-    if is_numeral:
-        # a bare numeral n is the term w^0 * n
-        return ((ZERO, atom), pos)
-    return ((atom, 1), pos)
-
-
-def _parse_atom(cur: Cursor):
-    """Returns (exponent Ordinal, False) for a w-power, or (int, True) for a numeral."""
+def _parse_term(cur: Cursor) -> tuple[Ordinal, int]:
+    """A term as (exponent, coefficient); a bare numeral n is w^0 * n."""
     if cur.at_digit():
-        return _nonzero_nat(cur), True
-    if cur.try_eat("w") or cur.try_eat("ω"):
-        if cur.try_eat("^"):
-            return _parse_factor(cur), False
-        return ONE, False
-    raise cur.error("expected a term (number, 'w' or 'w^...')")
+        n = _nonzero_nat(cur)
+        if cur.peek() in ("*", "·"):
+            raise ParseError("a coefficient may only follow a w-power", cur.pos)
+        return ZERO, n
+    exponent = _parse_power(cur)
+    if cur.try_eat("*") or cur.try_eat("·"):
+        return exponent, _nonzero_nat(cur)
+    return exponent, 1
 
 
-def _parse_factor(cur: Cursor) -> Ordinal:
+def _parse_power(cur: Cursor) -> Ordinal:
+    """The exponent e of a w-power w^e: `w`, `w^n`, `w^(...)` or `w^w...`."""
+    if not (cur.try_eat("w") or cur.try_eat("ω")):
+        raise cur.error("expected a term (number, 'w' or 'w^...')")
+    if not cur.try_eat("^"):
+        return ONE
     if cur.try_eat("("):
         inner = _parse_ordinal(cur)
         cur.expect(")")
         return inner
-    atom, is_numeral = _parse_atom(cur)
-    if is_numeral:
-        return from_int(atom)
-    return omega_power(atom)
+    if cur.at_digit():
+        return from_int(_nonzero_nat(cur))
+    return omega_power(_parse_power(cur))
 
 
 def _nonzero_nat(cur: Cursor) -> int:
@@ -283,6 +273,4 @@ def print_ordinal(a: Ordinal, unicode: bool = False) -> str:
 
 def _is_atom(e: Ordinal) -> bool:
     # printable without parentheses in exponent position
-    if e.is_finite:
-        return True
-    return len(e.terms) == 1 and e.terms[0][1] == 1
+    return e.is_finite or (len(e.terms) == 1 and e.terms[0][1] == 1)

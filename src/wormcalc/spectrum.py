@@ -24,7 +24,7 @@ from .ignatiev import Point, min_point_for_worm, print_point, valid_point
 from .ordinal import (
     ZERO, add, compare, from_int, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
-from .worm import TOP, Worm, ordinal_of, parse_worm, print_worm, worm_of_ordinal
+from .worm import TOP, Worm, _is_natural, ordinal_of, parse_worm, print_worm, worm_of_ordinal
 
 __all__ = [
     "TheoryPresentation",
@@ -38,6 +38,19 @@ __all__ = [
 ]
 
 
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; json.loads alone keeps the last of two equal keys."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        repeated = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ValueError(f"JSON key {repeated!r} is repeated")
+    return data
+
+
+# built once: json.loads(text, object_pairs_hook=...) builds a decoder per call
+_JSON = json.JSONDecoder(object_pairs_hook=_distinct_keys)
+
+
 @dataclass(frozen=True, repr=False)
 class TheoryPresentation:
     """A finite map level -> worm, the union of the per-level progressions."""
@@ -46,9 +59,10 @@ class TheoryPresentation:
     name: str | None = None
 
     def __post_init__(self):
+        for level, worm in self.entries:
+            if not (_is_natural(level) and isinstance(worm, Worm)):
+                raise ValueError(f"entry {(level, worm)!r} must pair a natural level with a Worm")
         levels = [level for level, _ in self.entries]
-        if any(level < 0 for level in levels):
-            raise ValueError("levels must be natural numbers")
         if levels != sorted(set(levels)):
             raise ValueError("entries must be sorted by level without duplicates")
 
@@ -75,7 +89,7 @@ class TheoryPresentation:
     @classmethod
     def from_json(cls, data: Union[str, dict]) -> "TheoryPresentation":
         if isinstance(data, str):
-            data = json.loads(data)
+            data = _JSON.decode(data)
         if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
             raise ValueError('presentation JSON needs an "entries" object')
         name = data.get("name")
@@ -148,7 +162,7 @@ class Spectrum:
     @classmethod
     def from_json(cls, data: Union[str, dict]) -> "Spectrum":
         if isinstance(data, str):
-            data = json.loads(data)
+            data = _JSON.decode(data)
         coords = data.get("coords") if isinstance(data, dict) else None
         if not isinstance(coords, list) or not all(isinstance(text, str) for text in coords):
             raise ValueError('spectrum JSON needs a "coords" list of ordinal strings')

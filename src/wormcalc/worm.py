@@ -29,13 +29,18 @@ __all__ = [
 ]
 
 
+def _is_natural(n) -> bool:
+    """An int n >= 0 but no bool: worm letters, modal indices and levels."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 @dataclass(frozen=True, repr=False)
 class Worm:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
         for letter in self.letters:
-            if isinstance(letter, bool) or not isinstance(letter, int) or letter < 0:
+            if not _is_natural(letter):
                 raise ValueError(f"letter {letter!r} must be a natural number")
 
     @classmethod
@@ -181,41 +186,28 @@ def _worm_of(x: Ordinal, base: int) -> tuple[int, ...]:
 
 def parse_worm(text: str) -> Worm:
     text = text.strip()
-    if text.startswith("T"):
-        if text != "T":
-            raise ParseError(f"unexpected trailing input {text[1:]!r}", 1)
+    if text == "T":
         return TOP
-    if text.startswith("<"):
-        cur = Cursor(text)
-        letters = []
+    pieces = text.split(".")
+    for piece in pieces:
+        if not (piece.isdigit() and piece.isascii()) or (piece[0] == "0" and len(piece) > 1):
+            break
+    else:
+        return Worm._from_checked(tuple(map(int, pieces)))
+    # the diamond form, or malformed text: scan it, and fail where the scan stops
+    cur = Cursor(text)
+    letters = []
+    if cur.peek() in ("<", "T"):
         while cur.try_eat("<"):
             letters.append(_index(cur))
             cur.expect(">")
         cur.expect("T")
-        cur.expect_end()
-        return Worm._from_checked(tuple(letters))
-    pieces = text.split(".")
-    for piece in pieces:
-        if not (piece.isdigit() and piece.isascii()) or (piece[0] == "0" and len(piece) > 1):
-            raise _dot_error(text, pieces)
-    return Worm._from_checked(tuple(map(int, pieces)))
-
-
-def _dot_error(text: str, pieces: list[str]) -> ParseError:
-    """The error of the first bad piece of a dot form, at the position where
-    a left-to-right scan of the text stops."""
-    offset = 0
-    for piece in pieces:
-        digits = len(piece) - len(piece.lstrip("0123456789"))
-        if digits == 0:
-            return ParseError("expected a number", offset)
-        if digits > 1 and piece[0] == "0":
-            return ParseError("indices may not have leading zeros", offset)
-        if digits < len(piece):
-            break
-        offset += len(piece) + 1
-    end = offset + digits
-    return ParseError(f"unexpected trailing input {text[end:]!r}", end)
+    else:
+        letters.append(_index(cur))
+        while cur.try_eat("."):
+            letters.append(_index(cur))
+    cur.expect_end()
+    return Worm._from_checked(tuple(letters))
 
 
 def _index(cur: Cursor) -> int:

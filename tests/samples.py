@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from wormcalc.formula import Bottom, Box, Diamond, Formula, Implies, disj, formula_of_worm, neg
 from wormcalc.ignatiev import Point
-from wormcalc.ordinal import ZERO, Ordinal, compare, from_int
+from wormcalc.ordinal import ONE, ZERO, Ordinal, compare, from_int, omega_power
 from wormcalc.parsing import Cursor, ParseError
 from wormcalc.worm import Worm, ordinal_of
 
@@ -132,6 +132,80 @@ def _cursor_index(cur: Cursor) -> int:
     value = cur.natural()
     if cur.pos - pos > 1 and cur.text[pos] == "0":
         raise ParseError("indices may not have leading zeros", pos)
+    return value
+
+
+def cursor_parse_ordinal(text: str) -> Ordinal:
+    """The ordinal grammar read with an atom/factor split, each term checked
+    against and appended to the sum built so far. An oracle for
+    `parse_ordinal`, which reads every term first and builds the sum once."""
+    cur = Cursor(text.strip())
+    value = _cursor_ordinal(cur)
+    cur.expect_end()
+    return value
+
+
+def _cursor_ordinal(cur: Cursor) -> Ordinal:
+    if cur.peek() == "0":
+        mark = cur.pos
+        cur.pos += 1
+        if cur.at_digit():
+            raise ParseError("numbers may not have leading zeros", mark)
+        return ZERO
+    parsed = [_cursor_term(cur)]
+    while cur.try_eat("+"):
+        parsed.append(_cursor_term(cur))
+    result = Ordinal((parsed[0][0],))
+    for term, pos in parsed[1:]:
+        if compare(term[0], result.terms[-1][0]) >= 0:
+            raise ParseError("non-canonical form: exponents must strictly decrease", pos)
+        result = Ordinal(result.terms + (term,))
+    return result
+
+
+def _cursor_term(cur: Cursor) -> tuple[tuple[Ordinal, int], int]:
+    pos = cur.pos
+    atom, is_numeral = _cursor_atom(cur)
+    if cur.try_eat("*") or cur.try_eat("·"):
+        if is_numeral:
+            raise ParseError("a coefficient may only follow a w-power", cur.pos - 1)
+        coefficient = _cursor_nonzero_nat(cur)
+        return ((atom, coefficient), pos)
+    if is_numeral:
+        # a bare numeral n is the term w^0 * n
+        return ((ZERO, atom), pos)
+    return ((atom, 1), pos)
+
+
+def _cursor_atom(cur: Cursor):
+    """Returns (exponent Ordinal, False) for a w-power, or (int, True) for a numeral."""
+    if cur.at_digit():
+        return _cursor_nonzero_nat(cur), True
+    if cur.try_eat("w") or cur.try_eat("ω"):
+        if cur.try_eat("^"):
+            return _cursor_factor(cur), False
+        return ONE, False
+    raise cur.error("expected a term (number, 'w' or 'w^...')")
+
+
+def _cursor_factor(cur: Cursor) -> Ordinal:
+    if cur.try_eat("("):
+        inner = _cursor_ordinal(cur)
+        cur.expect(")")
+        return inner
+    atom, is_numeral = _cursor_atom(cur)
+    if is_numeral:
+        return from_int(atom)
+    return omega_power(atom)
+
+
+def _cursor_nonzero_nat(cur: Cursor) -> int:
+    pos = cur.pos
+    value = cur.natural()
+    if value == 0:
+        raise ParseError("zero is not allowed here", pos)
+    if cur.text[pos] == "0":
+        raise ParseError("numbers may not have leading zeros", pos)
     return value
 
 

@@ -170,6 +170,8 @@ def test_parse_errors_exit_2(capsys):
         ("spectrum", '{"entries":{"0":1}}'),
         # "01" named level 1 a second time and overwrote it, answering <0>
         ("spectrum", '{"entries":{"1":"1","01":"0"}}'),
+        # so did a repeated key: json.loads keeps the last of two equal keys
+        ("spectrum", '{"entries":{"1":"1","1":"0"}}'),
         ("spectrum", '{"name":[1,2],"entries":{"0":"0"}}'),
         ("o", "١"),
         ("o", "²"),

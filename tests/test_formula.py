@@ -51,6 +51,11 @@ def test_modal_index_must_be_natural():
                 node(index, Top())
 
 
+def test_reprs():
+    assert repr(Top()) == "Top()" and repr(Bottom()) == "Bottom()"
+    assert repr(parse_formula("[1]F -> <0>T")) == "Implies(Box(1, Bottom()), Diamond(0, Top()))"
+
+
 def test_equal_formulas_share_hash_and_dict_entry():
     instances = axiom_instances([parse_worm("1"), parse_worm("0.1")], 1)
     copies = [parse_formula(print_formula(f)) for f in instances]

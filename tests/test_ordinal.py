@@ -137,6 +137,44 @@ def test_rejects_bad_text(text):
         parse_ordinal(text)
 
 
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as error:
+        return (str(error), error.position)
+
+
+def test_parse_ordinal_agrees_with_the_cursor_oracle():
+    # every string up to length 5 over digits, w, ^, brackets, + and both
+    # product signs: equal ordinals, or parse errors with the same text
+    alphabet = "012w^()+*·"
+    checked = 0
+    for length in range(6):
+        for chars in itertools.product(alphabet, repeat=length):
+            text = "".join(chars)
+            assert _outcome(parse_ordinal, text) == _outcome(samples.cursor_parse_ordinal, text), text
+            checked += 1
+    assert checked == 111_111
+    for text in ["w^w^w+w^(w*2)*3+1", " ω^ω·2+ω+1 ", "w^(w+1)+w^(1+w)", "w^w+w^(w+1)+1", "w^10+w^9*2+w^(w+"]:
+        assert _outcome(parse_ordinal, text) == _outcome(samples.cursor_parse_ordinal, text), text
+
+
+def test_parsing_a_sum_builds_it_once(monkeypatch):
+    # a k-term sum is checked and built once, not once per term read so far
+    built = []
+    post_init = Ordinal.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(len(self.terms))
+
+    monkeypatch.setattr(Ordinal, "__post_init__", counting)
+    k = 40
+    value = parse_ordinal("+".join(f"w^{i}" for i in range(k - 1, 1, -1)) + "+w+1")
+    assert len(value.terms) == k
+    assert [n for n in built if n > 1] == [k]
+
+
 def test_unicode_printer():
     assert print_ordinal(parse_ordinal("w^w*3+w^2"), unicode=True) == "ω^ω·3+ω^2"
     assert print_ordinal(ZERO, unicode=True) == "0"

@@ -98,6 +98,11 @@ def test_presentation_construction():
         TheoryPresentation(((-1, TOP),))
     with pytest.raises(ValueError):
         TheoryPresentation(((1, TOP), (0, TOP)))
+    # each of these was built; normalize then raised TypeError or
+    # AttributeError, or read True as level 1
+    for entries in (((1.5, Worm((2,))),), ((1, "2"),), ((True, TOP),), (("1", TOP),), ((0, None),)):
+        with pytest.raises(ValueError):
+            TheoryPresentation(entries)
 
 
 def test_presentation_json_round_trip():
@@ -129,6 +134,10 @@ def test_presentation_json_round_trip():
         '{"name":null,"entries":{}}',
     ):
         with pytest.raises((ValueError,)):
+            TheoryPresentation.from_json(bad)
+    # json.loads alone keeps the last of two equal keys, so a level was named twice
+    for bad in ('{"entries":{"1":"1","1":"0"}}', '{"name":"a","name":"b","entries":{}}'):
+        with pytest.raises(ValueError, match="is repeated"):
             TheoryPresentation.from_json(bad)
 
 
@@ -195,6 +204,8 @@ def test_spectrum_json():
     for bad in ({}, {"coords": None}, {"coords": [1]}):
         with pytest.raises(ValueError, match="coords"):
             Spectrum.from_json(bad)
+    with pytest.raises(ValueError, match="'coords' is repeated"):
+        Spectrum.from_json('{"coords":["1"],"coords":["w"]}')
 
 
 def test_conservation_examples():
