@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .parsing import Cursor, ParseError
-from .worm import Worm, _is_natural
+from .worm import Worm, _index, _is_natural
 
 __all__ = [
     "Formula",
@@ -217,11 +217,11 @@ def _parse_unary(cur: Cursor) -> Formula:
     if cur.try_eat("~"):
         return neg(_parse_unary(cur))
     if cur.try_eat("["):
-        n = cur.natural()
+        n = _index(cur)
         cur.expect("]")
         return Box(n, _parse_unary(cur))
     if cur.try_eat("<"):
-        n = cur.natural()
+        n = _index(cur)
         cur.expect(">")
         return Diamond(n, _parse_unary(cur))
     if cur.try_eat("T"):

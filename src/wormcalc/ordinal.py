@@ -132,9 +132,9 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum a + b; terms of a below the leading exponent of b are absorbed."""
-    if b.is_zero:
+    if not b.terms:
         return a
-    if a.is_zero:
+    if not a.terms:
         return b
     lead = b.terms[0][0]
     cut = 0
@@ -157,9 +157,7 @@ def last_exponent(a: Ordinal) -> Ordinal:
     This is the map sending alpha + w^beta to beta, which decides which
     coordinate sequences are worlds of the universal model.
     """
-    if a.is_zero:
-        return ZERO
-    return a.terms[-1][0]
+    return a.terms[-1][0] if a.terms else ZERO
 
 
 def hyperexp(n: int, x: Ordinal) -> Ordinal:
@@ -171,7 +169,7 @@ def hyperexp(n: int, x: Ordinal) -> Ordinal:
     if n < 0:
         raise ValueError("iteration count must be a natural number")
     for _ in range(n):
-        x = ZERO if x.is_zero else omega_power(x)
+        x = omega_power(x) if x.terms else ZERO
     return x
 
 
@@ -253,24 +251,23 @@ def print_ordinal(a: Ordinal, unicode: bool = False) -> str:
     With unicode=True emits the omega and middle-dot glyphs instead of the
     ASCII 'w' and '*'.
     """
-    if a.is_zero:
+    if not a.terms:
         return "0"
     w = "ω" if unicode else "w"
     dot = "·" if unicode else "*"
     parts = []
     for exponent, coefficient in a.terms:
-        if exponent.is_zero:
+        if not exponent.terms:
             parts.append(str(coefficient))
             continue
-        if exponent == ONE:
+        if exponent._key == ONE._key:
             base = w
         else:
             inner = print_ordinal(exponent, unicode)
-            base = f"{w}^{inner}" if _is_atom(exponent) else f"{w}^({inner})"
+            # an atom prints without parentheses in exponent position: a
+            # single term that is finite or has coefficient 1
+            terms = exponent.terms
+            atom = len(terms) == 1 and (terms[0][1] == 1 or not terms[0][0].terms)
+            base = f"{w}^{inner}" if atom else f"{w}^({inner})"
         parts.append(base if coefficient == 1 else f"{base}{dot}{coefficient}")
     return "+".join(parts)
-
-
-def _is_atom(e: Ordinal) -> bool:
-    # printable without parentheses in exponent position
-    return e.is_finite or (len(e.terms) == 1 and e.terms[0][1] == 1)

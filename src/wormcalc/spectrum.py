@@ -24,7 +24,7 @@ from .ignatiev import Point, min_point_for_worm, print_point, valid_point
 from .ordinal import (
     ZERO, add, compare, from_int, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
-from .worm import TOP, Worm, _is_natural, ordinal_of, parse_worm, print_worm, worm_of_ordinal
+from .worm import TOP, Worm, _cut, _is_natural, _rank, _worm_of, parse_worm, print_worm
 
 __all__ = [
     "TheoryPresentation",
@@ -68,7 +68,9 @@ class TheoryPresentation:
 
     @classmethod
     def of(cls, entries: Mapping[int, Worm], name: str | None = None) -> "TheoryPresentation":
-        return cls(tuple(sorted(entries.items())), name)
+        # only natural levels are sure to sort; the constructor refuses the rest
+        items = tuple(entries.items())
+        return cls(tuple(sorted(items)) if all(map(_is_natural, entries)) else items, name)
 
     def worm_at(self, level: int) -> Worm:
         for entry_level, worm in self.entries:
@@ -145,8 +147,8 @@ class Spectrum:
 
     @property
     def worms(self) -> tuple[Worm, ...]:
-        p = self.point
-        return tuple(worm_of_ordinal(p.coord(n), n) for n in range(p.support))
+        coords = enumerate(self.point.coords)
+        return tuple(Worm._from_checked(_worm_of(c, n)) for n, c in coords)
 
     def as_presentation(self, name: str | None = None) -> TheoryPresentation:
         return TheoryPresentation.of(
@@ -154,9 +156,11 @@ class Spectrum:
         )
 
     def to_json(self) -> dict:
+        coords = self.point.coords
+        worms = [_worm_of(c, n) for n, c in enumerate(coords)]
         return {
-            "coords": [print_ordinal(c) for c in self.point.coords],
-            "worms": [print_worm(w) for w in self.worms],
+            "coords": [print_ordinal(c) for c in coords],
+            "worms": [".".join(map(str, letters)) if letters else "T" for letters in worms],
         }
 
     @classmethod
@@ -194,13 +198,16 @@ def normalize(t: TheoryPresentation) -> Spectrum:
     then holds at n and at every level above: one pass suffices. Levels
     above the highest nonzero rank are never visited.
     """
-    ranks = {n: ordinal_of(w, n) for n, w in t.entries}
-    top = max((n for n, x in ranks.items() if not x.is_zero), default=0)
-    coords = [ranks.get(n, ZERO) for n in range(top + 1)]
-    for n in range(top - 1, -1, -1):
+    coords = []
+    for n, w in t.entries:
+        x = _rank(w.letters[: _cut(w.letters, n)], n)
+        if x.terms:
+            coords += [ZERO] * (n - len(coords)) + [x]
+    for n in range(len(coords) - 2, -1, -1):
         if compare(coords[n + 1], last_exponent(coords[n])) > 0:
             coords[n] = add(coords[n], omega_power(coords[n + 1]))
-    return Spectrum.of_point(Point.of(coords))
+    # the top coordinate is nonzero, so the point is canonical as it stands
+    return Spectrum(Point(tuple(coords) or (ZERO,)))
 
 
 @dataclass(frozen=True)

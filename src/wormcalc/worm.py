@@ -133,8 +133,8 @@ def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
     all letters up by n applies the n-th hyperexponential. At level n the
     rank only sees the level-n head, read with n in the part of 0.
     """
-    if level < 0:
-        raise ValueError("level must be a natural number")
+    if not _is_natural(level):
+        raise ValueError(f"level {level!r} must be a natural number")
     return _rank(a.letters[: _cut(a.letters, level)], level)
 
 
@@ -156,8 +156,8 @@ def worm_of_ordinal(x: Ordinal, level: int = 0) -> Worm:
     becomes the worm of e shifted up one level, the copies joined by 0s;
     at level n every letter is shifted up by n.
     """
-    if level < 0:
-        raise ValueError("level must be a natural number")
+    if not _is_natural(level):
+        raise ValueError(f"level {level!r} must be a natural number")
     return Worm._from_checked(_worm_of(x, level))
 
 
@@ -166,7 +166,7 @@ def _worm_of(x: Ordinal, base: int) -> tuple[int, ...]:
     letters: list[int] = []
     copies = 0
     for exponent, coefficient in reversed(x.terms):
-        if exponent.is_zero:
+        if not exponent.terms:
             letters += [base] * coefficient
             continue
         piece = _worm_of(exponent, base + 1)
@@ -221,6 +221,4 @@ def _index(cur: Cursor) -> int:
 def print_worm(a: Worm, diamonds: bool = False) -> str:
     if diamonds:
         return "".join(f"<{letter}>" for letter in a.letters) + "T"
-    if not a.letters:
-        return "T"
-    return ".".join(str(letter) for letter in a.letters)
+    return ".".join(map(str, a.letters)) if a.letters else "T"

@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 
 from wormcalc.formula import Bottom, Box, Diamond, Formula, Implies, disj, formula_of_worm, neg
 from wormcalc.ignatiev import Point
-from wormcalc.ordinal import ONE, ZERO, Ordinal, compare, from_int, omega_power
+from wormcalc.ordinal import (
+    ONE, ZERO, Ordinal, add, compare, from_int, last_exponent, omega_power, print_ordinal
+)
 from wormcalc.parsing import Cursor, ParseError
-from wormcalc.worm import Worm, ordinal_of
+from wormcalc.spectrum import Spectrum, TheoryPresentation
+from wormcalc.worm import Worm, ordinal_of, print_worm, worm_of_ordinal
 
 MAX_COEFF = 4
 
@@ -31,6 +34,28 @@ def all_worms(max_len: int, max_letter: int) -> list[Worm]:
         for letters in itertools.product(range(max_letter + 1), repeat=length):
             out.append(Worm(letters))
     return out
+
+
+def presentation_family():
+    """The 83,130-member acceptance family of presentations, in a fixed order.
+
+    Every level assignment on levels 0..3 over the worms of length <= 2 and
+    letters <= 2 (14**4); one entry at a level 0..3 over the worms of
+    length <= 4 and letters <= 3; then two entries at levels low < high
+    <= 3, each over the worms of length <= 3 and letters <= 3.
+    """
+    short = all_worms(2, 2)
+    options = [None] + short
+    for picks in itertools.product(options, repeat=4):
+        entries = {n: w for n, w in enumerate(picks) if w is not None}
+        yield TheoryPresentation.of(entries)
+    for n in range(4):
+        for a in all_worms(4, 3):
+            yield TheoryPresentation.of({n: a})
+    medium = all_worms(3, 3)
+    for low, high in itertools.combinations(range(4), 2):
+        for a, b in itertools.product(medium, repeat=2):
+            yield TheoryPresentation.of({low: a, high: b})
 
 
 def _layer(exponents: list[Ordinal], max_terms: int = 2) -> list[Ordinal]:
@@ -237,6 +262,30 @@ def check_invariants(a: Ordinal) -> None:
             raise ValueError(f"bad coefficient {coefficient!r} in {a!r}")
         if i > 0 and recursive_compare(a.terms[i - 1][0], exponent) <= 0:
             raise ValueError(f"exponents not strictly decreasing in {a!r}")
+
+
+def normalize_oracle(t: TheoryPresentation) -> Spectrum:
+    """Normalization through a level -> rank dict: every level up to the
+    highest nonzero rank gets a coordinate, and `Point.of` trims the
+    result. An oracle for `normalize`, which ranks straight into the
+    coordinate list and builds the point as it stands."""
+    ranks = {n: ordinal_of(w, n) for n, w in t.entries}
+    top = max((n for n, x in ranks.items() if not x.is_zero), default=0)
+    coords = [ranks.get(n, ZERO) for n in range(top + 1)]
+    for n in range(top - 1, -1, -1):
+        if compare(coords[n + 1], last_exponent(coords[n])) > 0:
+            coords[n] = add(coords[n], omega_power(coords[n + 1]))
+    return Spectrum.of_point(Point.of(coords))
+
+
+def spectrum_json_oracle(s: Spectrum) -> dict:
+    """A spectrum's JSON through one `Worm` per coordinate and `print_worm`.
+    An oracle for `Spectrum.to_json`, which prints the canonical letters."""
+    p = s.point
+    return {
+        "coords": [print_ordinal(c) for c in p.coords],
+        "worms": [print_worm(worm_of_ordinal(p.coord(n), n)) for n in range(p.support)],
+    }
 
 
 def relation_holds(n: int, p: Point, q: Point) -> bool:

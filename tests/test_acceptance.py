@@ -120,28 +120,11 @@ def test_ordinal_worm_round_trip():
     print(f"PASS round trip: {len(image)} ordinals x levels 0..3, 0 failures")
 
 
-def _presentation_families():
-    # all level assignments <= 3 over short worms, then sparser supports
-    # with longer worms; exhaustive within these caps
-    short = samples.all_worms(2, 2)
-    options = [None] + short
-    for picks in itertools.product(options, repeat=4):
-        entries = {n: w for n, w in enumerate(picks) if w is not None}
-        yield TheoryPresentation.of(entries)
-    for n in range(4):
-        for a in samples.all_worms(4, 3):
-            yield TheoryPresentation.of({n: a})
-    medium = samples.all_worms(3, 3)
-    for low, high in itertools.combinations(range(4), 2):
-        for a, b in itertools.product(medium, repeat=2):
-            yield TheoryPresentation.of({low: a, high: b})
-
-
 def test_world_condition_and_idempotence():
     for a in WORM_FAMILY:
         assert is_valid_point(min_point_for_worm(a))
     count = 0
-    for t in _presentation_families():
+    for t in samples.presentation_family():
         s = normalize(t)
         assert is_valid_point(s.point), t
         assert normalize(s.as_presentation()).point == s.point, t

@@ -189,6 +189,18 @@ def test_parse_errors_exit_2(capsys):
         assert (code, out, err.count("\n")) == (2, "", 1), argv
 
 
+def test_formula_index_leading_zeros_exit_2(capsys):
+    # as in worm text: `o '<01>T'` exits 2, and so does a formula with <01>
+    for argv in (
+        ("o", "<01>T"),
+        ("valid", "--universe", "finite:2", "<01>T -> <1>T"),
+        ("forces", "--universe", "finite:1", "<1>", "[007]F"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+        assert "indices may not have leading zeros (at position 1)" in err, argv
+
+
 def test_deep_inputs_exit_2(capsys):
     # long flat worms have no nesting: ranks split at every base letter in a loop
     assert run(capsys, "o", ".".join(["0"] * 1200)) == (0, "1200", "")

@@ -44,6 +44,15 @@ def test_parse_errors_carry_position():
             parse_formula(text)
 
 
+def test_modal_indices_refuse_leading_zeros():
+    # the worm grammar's rule: <01>T used to read as <1>T here
+    for text, position in (("<01>T", 1), ("[007]F", 1), ("T -> [1]<00>T", 9)):
+        with pytest.raises(ParseError, match="leading zeros") as info:
+            parse_formula(text)
+        assert info.value.position == position, text
+    assert parse_formula("<0>[10]T") == Diamond(0, Box(10, Top()))
+
+
 def test_modal_index_must_be_natural():
     for index in (-1, True, False, 1.0, "0", None):
         for node in (Box, Diamond):

@@ -1,7 +1,11 @@
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import samples
 from samples import concat, in_worms
@@ -105,6 +109,13 @@ def test_presentation_construction():
             TheoryPresentation(entries)
 
 
+def test_presentation_of_checks_levels_before_sorting():
+    # {"a": ..., 1: ...} used to fail in sorted() with a TypeError
+    for entries in ({"a": TOP, 1: TOP}, {1: TOP, 2.5: TOP}, {True: TOP}, {None: TOP, 0: TOP}):
+        with pytest.raises(ValueError, match="natural level"):
+            TheoryPresentation.of(entries)
+
+
 def test_presentation_json_round_trip():
     t = TheoryPresentation.from_json('{"entries":{"0":"0.1","1":"1"}}')
     assert t.worm_at(0) == parse_worm("0.1")
@@ -185,6 +196,44 @@ def test_normalize_empty_presentation_is_base_theory():
 def test_normalize_skips_empty_levels():
     # only levels up to the highest nonzero rank are visited
     assert normalize(TheoryPresentation.of({10**6: TOP})).point == Point.of([ZERO])
+
+
+def test_normalize_high_empty_level_allocates_little():
+    tracemalloc.start()
+    try:
+        s = normalize(TheoryPresentation.of({2_000_000: TOP}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.to_json() == {"coords": ["0"], "worms": ["T"]}
+    assert peak < 1 << 20
+
+
+def _same_json_as_oracles(t: TheoryPresentation) -> None:
+    got = json.dumps(normalize(t).to_json())
+    assert got == json.dumps(samples.spectrum_json_oracle(samples.normalize_oracle(t))), t
+
+
+def test_normalize_and_json_match_oracles_on_acceptance_slice():
+    # every 11th member: 7,558 presentations across all three family parts
+    for t in itertools.islice(samples.presentation_family(), 0, None, 11):
+        _same_json_as_oracles(t)
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=8), samples.worms(max_letter=5, max_len=5), max_size=6
+    )
+)
+@example({})
+@example({0: TOP, 3: TOP})
+@example({0: Worm((1,)), 5: Worm((0, 1, 2))})
+@example({1: Worm((0,)), 2: Worm((2,)), 7: Worm((3,))})
+@settings(max_examples=300)
+def test_normalize_and_json_match_oracles(entries):
+    # levels reach past every letter, so stored worms are often T or rank 0
+    # at their level, and levels above every nonzero rank are common
+    _same_json_as_oracles(TheoryPresentation.of(entries))
 
 
 def test_normalize_matches_worm_rewrite_oracle():

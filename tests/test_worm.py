@@ -95,6 +95,15 @@ def test_worm_of_ordinal_examples():
     assert ww == parse_worm("2")
 
 
+def test_levels_must_be_natural():
+    # a bool level used to be read as 0 or 1
+    for level in (True, False, -1, 1.0, "1", None):
+        with pytest.raises(ValueError, match="level"):
+            ordinal_of(Worm((1,)), level)
+        with pytest.raises(ValueError, match="level"):
+            worm_of_ordinal(OMEGA, level)
+
+
 def test_parse_print():
     assert parse_worm("T") == TOP
     assert parse_worm("2.1.0.3") == Worm((2, 1, 0, 3))
