@@ -14,8 +14,14 @@ costs O(|W|*|f|), the same formula at each further world costs O(1), since
 points and formulas carry the hash taken when they were built, and the
 vectors live as long as the model.
 
+A fragment is enumerated on universe positions: one table, built once,
+gives the position of each element's last exponent, so the walk makes no
+ordinal comparison, and worlds canonical by construction skip the
+constructor's check. Each relation keeps its own span per world, which
+evaluation, successors and rendering index directly.
+
 `forces_worm` decides worm statements through the coordinatewise criterion
-rank_n(worm) <= coordinate_n. The ranks are taken once per worm object
+rank_n(worm) <= coordinate_n. The ranks are taken once per distinct worm
 (`Worm.ranks`), so each further world costs one order-key comparison per
 level. That criterion is folklore rather than textbook; the test suite
 certifies it by exhaustive agreement with the definitional evaluator on
@@ -25,13 +31,13 @@ exact fragments, and any disagreement fails the build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
 from .ordinal import ZERO, Ordinal, compare, last_exponent, parse_ordinal, print_ordinal
 from .parsing import ParseError
-from .worm import Worm
+from .worm import Worm, _is_natural
 
 __all__ = [
     "Point",
@@ -80,11 +86,24 @@ class Point:
     coords: tuple[Ordinal, ...]
 
     def __post_init__(self):
-        if not self.coords:
+        coords = self.coords
+        if not isinstance(coords, tuple) or not all(isinstance(c, Ordinal) for c in coords):
+            raise TypeError(f"coordinates {coords!r} are not a tuple of Ordinals")
+        if not coords:
             raise ValueError("a point stores at least one coordinate")
-        if len(self.coords) > 1 and self.coords[-1].is_zero:
+        if len(coords) > 1 and coords[-1].is_zero:
             raise ValueError("non-canonical point: trailing zero coordinate")
-        object.__setattr__(self, "_hash", hash(self.coords))
+        object.__setattr__(self, "_hash", hash(coords))
+
+    @classmethod
+    def _from_checked(cls, coords: tuple[Ordinal, ...]) -> "Point":
+        """A point of coordinates already known to be canonical Ordinals,
+        built without running __post_init__'s check again."""
+        point = object.__new__(cls)
+        fields = point.__dict__  # cheaper than object.__setattr__ past the frozen guard
+        fields["coords"] = coords
+        fields["_hash"] = hash(coords)
+        return point
 
     def __hash__(self) -> int:
         return self._hash
@@ -92,7 +111,8 @@ class Point:
     @classmethod
     def of(cls, coords: Iterable[Ordinal]) -> "Point":
         stored = list(coords)
-        while len(stored) > 1 and stored[-1].is_zero:
+        # only an Ordinal equals ZERO, so the constructor sees anything else
+        while len(stored) > 1 and stored[-1] == ZERO:
             stored.pop()
         if not stored:
             stored = [ZERO]
@@ -170,7 +190,7 @@ def min_point_for_worm(a: Worm) -> Point:
 def forces_worm(p: Point, a: Worm) -> bool:
     """Decide a worm statement at a world via the coordinatewise rank criterion.
 
-    The worm's ranks are taken once per worm object; at each world the test
+    The worm's ranks are taken once per distinct worm; at each world the test
     is one order-key comparison per level up to the point's support.
     """
     coords, ranks = p.coords, a.ranks
@@ -192,69 +212,85 @@ class FiniteSubmodel:
     restricted to those worlds. Immutable after construction.
 
     `worlds` is in lexicographic coordinate order: the root, then a
-    depth-first walk that puts each prefix P before its subtree. The worlds
-    agreeing with P below n = len(P) are P and its subtree, so relation n
-    at a child P+(u,), and at every world below it, reaches exactly P and
-    the subtrees of the earlier siblings: one stretch of `worlds`. Each
-    world i stores a span (a, b, c) per relation n, with P at a, the
-    previous sibling (or P) at b and the child at c; its successors are
-    worlds[a:c] and its covers, the arrows `render_dot` draws, worlds[b:c].
-    Relations at or above a world's support have empty spans.
+    depth-first walk that puts each prefix P before its subtree. The walk
+    runs on positions in the ascending universe: a coordinate after the
+    element at position k may be any nonzero element up to its last
+    exponent, which are positions 1..below[k], looked up in a table built
+    once. The worlds agreeing with P below n = len(P) are P and its
+    subtree, so relation n at a child P+(u,), and at every world below it,
+    reaches exactly P and the subtrees of the earlier siblings: one stretch
+    of `worlds`. Relation n keeps a span _spans[n][i] = (a, b, c) for each
+    world i, with P at a, the previous sibling (or P) at b and the child at
+    c; the successors of world i are worlds[a:c] and its covers, the arrows
+    `render_dot` draws, worlds[b:c]. Relations at or above a world's
+    support have empty spans, and those at or above every world's support
+    share one column of them.
     """
 
     def __init__(self, universe: Sequence[Ordinal], max_index: int):
-        if max_index < 0:
-            raise UniverseError("max index must be a natural number")
-        ordered = sorted(set(universe))
-        if not ordered or not ordered[0].is_zero:
+        if not _is_natural(max_index):
+            raise UniverseError(f"max index {max_index!r} must be a natural number")
+        if not all(isinstance(u, Ordinal) for u in universe):
+            raise TypeError("universe elements must be Ordinals")
+        # the elements deduplicated and sorted by their order keys; the key of
+        # an element's last exponent is the one its own key ends with
+        by_key = {u._key: u for u in universe}
+        keys = sorted(by_key)
+        if not keys or keys[0]:
             raise UniverseError("universe must contain 0")
-        universe_set = set(ordered)
-        for u in ordered:
-            if last_exponent(u) not in universe_set:
+        position = {key: k for k, key in enumerate(keys)}
+        below = []  # the position of each element's last exponent
+        for key in keys:
+            k = position.get(key[-2] if key else ())
+            if k is None:
+                missing = last_exponent(by_key[key])
                 raise UniverseError(
-                    f"universe is not closed under last exponents: missing {last_exponent(u)}"
+                    f"universe is not closed under last exponents: missing {missing}"
                 )
-        self.universe: tuple[Ordinal, ...] = tuple(ordered)
+            below.append(k)
+        self.universe: tuple[Ordinal, ...] = tuple([by_key[key] for key in keys])
         self.max_index = max_index
-        self.worlds, self._spans = self._generate()
+        self.worlds, spans = self._generate(below)
+        # the relations from the deepest support up have no edge: they share
+        # one all-empty column, and render_dot stops before them
+        self._depth = len(spans)
+        self._spans = spans + (((0, 0, 0),) * len(self.worlds),) * (max_index + 1 - len(spans))
         self._index = {p: i for i, p in enumerate(self.worlds)}
         # truth vectors of the formulas queried so far; subformula vectors are
         # not kept, so a one-shot query on a large fragment holds just one
         self._vectors: dict[fm.Formula, list[bool]] = {}
         # exactness is certified only for initial segments of the naturals:
         # there every coordinate beyond the first is forced to zero, so all
-        # full-model successors of a world already lie in the fragment
-        self.witness_complete = all(u.is_finite for u in self.universe) and [
-            u.as_int() for u in self.universe
-        ] == list(range(len(self.universe)))
-        # the two answers forces and validity_check give, indexed by value
-        self._results = (
-            ForcingResult(False, self.witness_complete),
-            ForcingResult(True, self.witness_complete),
-        )
+        # full-model successors of a world already lie in the fragment. The
+        # universe ascends from 0 without repeats, so it is one iff its top
+        # element is the natural len - 1
+        top = self.universe[-1]
+        self.witness_complete = top.is_finite and top.as_int() == len(keys) - 1
+        self._results = _RESULTS[self.witness_complete]
 
-    def _generate(self) -> tuple[tuple[Point, ...], list[tuple]]:
-        """The worlds in walk order, and each world's span per relation."""
-        worlds = [Point((ZERO,))]
-        spans = [((0, 0, 0),) * (self.max_index + 1)]
+    def _generate(self, below: list[int]) -> tuple[tuple[Point, ...], tuple[tuple, ...]]:
+        """The worlds in walk order, and the spans by world of each relation
+        below the deepest support."""
+        universe, top, make = self.universe, self.max_index, Point._from_checked
+        worlds = [make((ZERO,))]
+        rows = [()]  # world i's spans, for the relations below its support
 
-        def extend(prefix: tuple[Ordinal, ...], start: int, bound: Ordinal) -> None:
-            n, row, previous = len(prefix), spans[start], start
-            for u in self.universe[1:]:  # the nonzero coordinates, ascending
-                if compare(u, bound) > 0:
-                    break
+        def extend(prefix: tuple[Ordinal, ...], start: int, bound: int) -> None:
+            n, row, previous = len(prefix), rows[start], start
+            for k in range(1, bound + 1):  # the nonzero coordinates, ascending
+                coords = prefix + (universe[k],)
                 i = len(worlds)
-                worlds.append(Point(prefix + (u,)))
-                spans.append(row[:n] + ((start, previous, i),) + row[n + 1 :])
-                if n < self.max_index:
-                    extend(prefix + (u,), i, last_exponent(u))
+                worlds.append(make(coords))
+                rows.append(row + ((start, previous, i),))
+                if n < top and below[k]:
+                    extend(coords, i, below[k])
                 previous = i
 
-        extend((), 0, self.universe[-1])
+        extend((), 0, len(universe) - 1)
         # extend reaches itself through its closure cell; clearing the cell
         # breaks that cycle, so a dropped fragment is freed at once
         del extend
-        return tuple(worlds), spans
+        return tuple(worlds), tuple(zip_longest(*rows, fillvalue=(0, 0, 0)))
 
     def _position(self, p: Point) -> int:
         i = self._index.get(p)
@@ -265,7 +301,7 @@ class FiniteSubmodel:
     def successors(self, n: int, p: Point) -> tuple[Point, ...]:
         if not 0 <= n <= self.max_index:
             raise ModalityOutOfRangeError(f"relation {n} is outside 0..{self.max_index}")
-        a, _, c = self._spans[self._position(p)][n]
+        a, _, c = self._spans[n][self._position(p)]
         return self.worlds[a:c]
 
     def edges(self, n: int) -> list[tuple[Point, Point]]:
@@ -275,7 +311,7 @@ class FiniteSubmodel:
         """len(edges(n)), summed over the spans without building a pair."""
         if not 0 <= n <= self.max_index:
             raise ModalityOutOfRangeError(f"relation {n} is outside 0..{self.max_index}")
-        return sum(row[n][2] - row[n][0] for row in self._spans)
+        return sum(c - a for a, _, c in self._spans[n]) if n < self._depth else 0
 
     def __contains__(self, p: Point) -> bool:
         return p in self._index
@@ -302,6 +338,13 @@ class ForcingResult:
         return self.value
 
 
+# the two answers forces and validity_check give, indexed by value, on an
+# inexact and on an exact fragment
+_RESULTS = tuple(
+    (ForcingResult(False, exact), ForcingResult(True, exact)) for exact in (False, True)
+)
+
+
 def _truth(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
     """f's truth value at every world position, one pass per subformula; a box
     or diamond counts its body over each span (a, _, c) by prefix sums."""
@@ -314,10 +357,9 @@ def _truth(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
             return [not x or y for x, y in zip(_truth(m, left), _truth(m, right))]
         case fm.Box(index=n, body=body) | fm.Diamond(index=n, body=body):
             pre = list(accumulate(_truth(m, body), initial=0))
-            spans = (row[n] for row in m._spans)
             if isinstance(f, fm.Box):
-                return [pre[c] - pre[a] == c - a for a, _, c in spans]
-            return [pre[c] > pre[a] for a, _, c in spans]
+                return [pre[c] - pre[a] == c - a for a, _, c in m._spans[n]]
+            return [pre[c] > pre[a] for a, _, c in m._spans[n]]
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -349,8 +391,14 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     nesting depth; m keeps f's truth vector, so f at each further world
     costs O(1).
     """
-    i = m._position(p)
-    return m._results[_vector(m, f)[i]]
+    # the lookups of _position and _vector, inlined: this runs at every world
+    i = m._index.get(p)
+    if i is None:
+        raise PointNotInModelError(f"{p} is not a world of {m!r}")
+    vector = m._vectors.get(f)
+    if vector is None:
+        vector = _vector(m, f)
+    return m._results[vector[i]]
 
 
 def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
@@ -366,6 +414,11 @@ def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
 
 
 # --- DOT rendering ------------------------------------------------------
+
+
+def _dot_escaped(text: str) -> str:
+    """text as it may stand inside a quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _edge_style(n: int) -> str:
@@ -387,22 +440,23 @@ def render_dot(
     (double for 1, triple for 2, and so on). By default only covering
     arrows of each relation are drawn. Every labelled point must be a world.
     """
-    labels = labels or {}
-    for p in labels:
+    named = {}  # world position -> escaped label
+    for p, label in (labels or {}).items():
         if p not in m:
-            raise PointNotInModelError(f"label {labels[p]!r}: {p} is not a world of {m!r}")
+            raise PointNotInModelError(f"label {label!r}: {p} is not a world of {m!r}")
+        named[m._index[p]] = _dot_escaped(label)
     lines = ["digraph ignatiev {", "  node [shape=box];"]
     # print_point of each world, with each universe element printed once
     printed = {u: print_ordinal(u) for u in m.universe}
     for i, p in enumerate(m.worlds):
         text = "<" + ", ".join([printed[c] for c in p.coords]) + ">"
-        if p in labels:
-            text = f"{labels[p]}\\n{text}"
+        if i in named:
+            text = f"{named[i]}\\n{text}"
         lines.append(f'  n{i} [label="{text}"];')
-    for n in range(m.max_index + 1):
-        for i, row in enumerate(m._spans):
-            a, b, c = row[n]
+    for n, spans in enumerate(m._spans[: m._depth]):
+        style = _edge_style(n)
+        for i, (a, b, c) in enumerate(spans):
             for j in range(b if reduce_transitive else a, c):
-                lines.append(f"  n{i} -> n{j}{_edge_style(n)};")
+                lines.append(f"  n{i} -> n{j}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -70,6 +70,20 @@ class Ordinal:
         object.__setattr__(self, "_key", tuple(key))
         object.__setattr__(self, "_hash", hash(self.terms))
 
+    @classmethod
+    def _from_checked(cls, terms: tuple[tuple["Ordinal", int], ...]) -> "Ordinal":
+        """An ordinal of terms already known to be canonical, built without
+        running __post_init__'s checks again."""
+        key = []
+        for exponent, coefficient in terms:
+            key += (exponent._key, coefficient)
+        x = object.__new__(cls)
+        fields = x.__dict__  # cheaper than object.__setattr__ past the frozen guard
+        fields["terms"] = terms
+        fields["_key"] = tuple(key)
+        fields["_hash"] = hash(terms)
+        return x
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -185,7 +199,13 @@ def hyperexp(n: int, x: Ordinal) -> Ordinal:
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    cur = Cursor(text.strip())
+    text = text.strip()
+    # a plain numeral, the whole of a chain universe, needs no scan and no
+    # second check; "00", other scripts' digits and the rest go through the
+    # Cursor
+    if text.isdigit() and text.isascii() and (text[0] != "0" or len(text) == 1):
+        return Ordinal._from_checked(((ZERO, int(text)),)) if text != "0" else ZERO
+    cur = Cursor(text)
     value = _parse_ordinal(cur)
     cur.expect_end()
     return value

@@ -207,7 +207,7 @@ def normalize(t: TheoryPresentation) -> Spectrum:
         if compare(coords[n + 1], last_exponent(coords[n])) > 0:
             coords[n] = add(coords[n], omega_power(coords[n + 1]))
     # the top coordinate is nonzero, so the point is canonical as it stands
-    return Spectrum(Point(tuple(coords) or (ZERO,)))
+    return Spectrum(Point._from_checked(tuple(coords) or (ZERO,)))
 
 
 @dataclass(frozen=True)

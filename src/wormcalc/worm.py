@@ -59,12 +59,11 @@ class Worm:
     def ranks(self) -> tuple[Ordinal, ...]:
         """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
 
-        Taken once per worm object and kept in the instance dict, outside the
-        dataclass fields, so equality, hashing and repr still see only the
-        letters.
+        Taken once per distinct letter tuple (`_ranks`), and kept in the
+        instance dict, outside the dataclass fields, so equality, hashing and
+        repr still see only the letters.
         """
-        top = max(self.letters) + 1 if self.letters else 0
-        return tuple(ordinal_of(self, n) for n in range(top + 1))
+        return _ranks(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -99,7 +98,8 @@ def remainder(a: Worm, n: int) -> Worm:
 
 # normalizing the 83,130 acceptance presentations fills 498 entries and a
 # benchmark run under 200, so neither evicts; the bound only keeps a
-# long-running process from growing the memo without limit
+# long-running process from growing the memo, or the per-worm memo `_ranks`,
+# without limit
 _RANK_MEMO_SIZE = 1 << 14
 
 
@@ -123,6 +123,14 @@ def _rank(letters: tuple[int, ...], base: int) -> Ordinal:
     for block in reversed(blocks):
         value = add(add(value, ONE), _rank(block, base))
     return value
+
+
+@lru_cache(maxsize=_RANK_MEMO_SIZE)
+def _ranks(letters: tuple[int, ...]) -> tuple[Ordinal, ...]:
+    # every level's rank of one worm, so a worm whose letters were seen
+    # before costs one lookup however many levels it has
+    top = max(letters) + 1 if letters else 0
+    return tuple(_rank(letters[: _cut(letters, n)], n) for n in range(top + 1))
 
 
 def ordinal_of(a: Worm, level: int = 0) -> Ordinal:

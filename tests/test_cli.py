@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,17 @@ def test_model_subcommand_labels_match_golden(capsys):
     assert out == (GOLDEN / "labeled_fragment_idx2.dot").read_text(encoding="utf-8").rstrip("\n")
     assert 'label="ISigma1\\n<w^w, w, 1>"' in out
     assert 'label="PRA\\n<w^w, w>"' in out
+
+
+def test_model_subcommand_escapes_labels(capsys):
+    # a quote in a label used to end the DOT string early, and exit 0
+    code, out, _ = run(capsys, "model", "--universe", "finite:1", "--max-index", "0", "--label", '<1>=a"b')
+    assert code == 0
+    assert '  n1 [label="a\\"b\\n<1>"];' in out.splitlines()
+    code, out, _ = run(capsys, "model", "--universe", "finite:1", "--max-index", "0", "--label", '<1>=a\\"];x [label="y')
+    assert code == 0
+    assert len(re.findall(r"^  n\d+ \[label=", out, re.M)) == 2
+    assert '  n1 [label="a\\\\\\"];x [label=\\"y\\n<1>"];' in out.splitlines()
 
 
 def test_model_no_reduce(capsys):

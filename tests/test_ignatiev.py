@@ -1,15 +1,15 @@
-import collections
 import gc
 import itertools
 import random
 import re
+import tracemalloc
 import weakref
 
 import pytest
 
 import samples
 from samples import axiom_instances, rank_criterion, relation_holds
-from wormcalc import ignatiev, worm
+from wormcalc import ignatiev, ordinal, worm
 from wormcalc.formula import (
     Bottom,
     Box,
@@ -59,6 +59,15 @@ def test_point_canonical_form():
         Point((from_int(1), ZERO))
     with pytest.raises(ValueError):
         Point(())
+
+
+def test_point_refuses_coordinates_that_are_not_ordinals():
+    for coords in (("x",), (1,), (1, 2), (from_int(1), 0), [from_int(1)], None):
+        with pytest.raises(TypeError):
+            Point(coords)
+    for coords in ([from_int(2), 1], [from_int(2), 0], ["x", ZERO]):
+        with pytest.raises(TypeError):
+            Point.of(coords)
 
 
 def test_equal_points_share_hash_and_dict_entry():
@@ -154,6 +163,43 @@ def test_enumerate_rejects_bad_universe():
         enumerate_submodel([ZERO, parse_ordinal("w*2")], 1)  # missing last exponent 1
     with pytest.raises(UniverseError):
         enumerate_submodel([ZERO], -1)
+    with pytest.raises(TypeError):
+        enumerate_submodel([ZERO, 1], 1)
+
+
+def test_submodel_refuses_a_max_index_that_is_not_natural():
+    for max_index in (-1, True, False, 1.5, 1.0, "1", None):
+        with pytest.raises(UniverseError):
+            FiniteSubmodel(finite_universe(1), max_index)
+
+
+def test_enumeration_walks_positions_without_comparing_or_checking(monkeypatch):
+    # the children of a world are read off the table of last-exponent
+    # positions, and each world, canonical by construction, skips Point's check
+    compared, checked = [], []
+    ordinal_compare, post_init = ordinal.compare, Point.__post_init__
+
+    def counting_compare(a, b):
+        compared.append((a, b))
+        return ordinal_compare(a, b)
+
+    def counting_post_init(self):
+        checked.append(self)
+        post_init(self)
+
+    universe = closed_universe(["w^w+w", "w^(w+1)", "w*2+1", "3"])
+    for module in (ordinal, ignatiev):
+        monkeypatch.setattr(module, "compare", counting_compare)
+    monkeypatch.setattr(Point, "__post_init__", counting_post_init)
+    models = [enumerate_submodel(universe, max_index) for max_index in range(4)]
+    assert compared == [] and checked == []
+    monkeypatch.undo()
+    # the same worlds as the definition gives
+    m = models[-1]
+    assert len(m.worlds) == len(set(m.worlds)) > len(universe)
+    assert set(m.worlds) == {
+        Point.of(c) for c in itertools.product(m.universe, repeat=4) if is_valid_point(c)
+    }
 
 
 def test_submodel_relations_are_strict_orders():
@@ -296,25 +342,24 @@ def test_each_formula_is_evaluated_once_per_fragment(monkeypatch):
     assert len(built) == sum(node_count(f) for f in formulas)
 
 
-def test_worm_ranks_are_taken_once_per_worm(monkeypatch):
-    # Worm.ranks looks ordinal_of up in the worm module, so the wrapper sees
-    # every rank forces_worm needs, counted per worm object
-    calls = collections.Counter()
-    rank = worm.ordinal_of
-
-    def counting(a, level=0):
-        calls[id(a)] += 1
-        return rank(a, level)
-
-    monkeypatch.setattr(worm, "ordinal_of", counting)
+def test_worm_ranks_are_taken_once_per_worm():
+    # Worm.ranks reads the memo _ranks, keyed by the letter tuple: a miss is
+    # one computation of a worm's ranks, and each worm object looks up once
     m = enumerate_submodel([ZERO, from_int(1), from_int(2), W, W_TO_W], 2)
-    worms = [parse_worm(t) for t in ("0", "1.0", "2", "0.1.2", "2.1", "1.1")]
+    texts = ("0", "1.0", "2", "0.1.2", "2.1", "1.1", "2.1")
     assert len(m.worlds) == 10
-    for p in m.worlds:
-        for a in worms:
-            forces_worm(p, a)
-    for a in worms:
-        assert 0 < calls[id(a)] <= max(a.letters) + 2, a
+    # at most one miss per distinct letter tuple, and none for fresh objects
+    # whose letters were seen before
+    for most_misses in (len(set(texts)), 0):
+        before = worm._ranks.cache_info()
+        worms = [parse_worm(t) for t in texts]
+        for p in m.worlds:
+            for a in worms:
+                forces_worm(p, a)
+        after = worm._ranks.cache_info()
+        misses = after.misses - before.misses
+        assert after.hits - before.hits + misses == len(worms)
+        assert misses <= most_misses
 
     # forces and validity_check answer with the same values a fresh
     # ForcingResult holds, on an exact fragment and on one that is not
@@ -412,6 +457,41 @@ def test_render_dot_labels_print_multi_term_coordinates():
             if labels and p in labels:
                 expected = f"{labels[p]}\\n{expected}"
             assert text == expected
+
+
+def test_a_high_max_index_costs_only_the_relations_with_edges(monkeypatch):
+    # the relations from the deepest support up share one empty column, and
+    # render_dot stops before them: it styles relation 0 alone
+    styled = []
+    edge_style = ignatiev._edge_style
+    monkeypatch.setattr(ignatiev, "_edge_style", lambda n: styled.append(n) or edge_style(n))
+    universe = finite_universe(50)
+    tracemalloc.start()
+    try:
+        m = enumerate_submodel(universe, 20_000)
+        dot = render_dot(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and styled == [0]
+    assert dot == render_dot(enumerate_submodel(universe, 0))
+    assert m.edge_count(20_000) == 0 and not m.successors(20_000, m.worlds[-1])
+    assert validity_check(parse_formula("[20000]F"), m).value
+
+
+def test_render_dot_escapes_labels():
+    # a quote or a backslash in a label must neither end the DOT string nor
+    # open an escape of its own
+    m = enumerate_submodel(finite_universe(1), 0)
+    one = Point.of([from_int(1)])
+    cases = {
+        'a"b': 'a\\"b',
+        "a\\b": "a\\\\b",
+        'a\\"];x [label="y': 'a\\\\\\"];x [label=\\"y',
+    }
+    for label, escaped in cases.items():
+        nodes = re.findall(r'^  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', render_dot(m, labels={one: label}), re.M)
+        assert nodes == [("0", "<0>"), ("1", f"{escaped}\\n<1>")], label
 
 
 def test_render_dot_labels_must_be_worlds():

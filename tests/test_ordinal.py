@@ -157,6 +157,12 @@ def test_parse_ordinal_agrees_with_the_cursor_oracle():
     assert checked == 111_111
     for text in ["w^w^w+w^(w*2)*3+1", " ω^ω·2+ω+1 ", "w^(w+1)+w^(1+w)", "w^w+w^(w+1)+1", "w^10+w^9*2+w^(w+"]:
         assert _outcome(parse_ordinal, text) == _outcome(samples.cursor_parse_ordinal, text), text
+    # numerals, which parse_ordinal reads without a scan when they are plain
+    long = "9" + "0" * 399
+    numerals = [" 7 ", "\t12\n", " 0 ", "00", "007", "0 7", "²", "٣", "1٣", "٣1", long, f" {long} ", "0" + long]
+    for text in numerals:
+        assert _outcome(parse_ordinal, text) == _outcome(samples.cursor_parse_ordinal, text), text
+    assert parse_ordinal(long).as_int() == 9 * 10**399
 
 
 def test_parsing_a_sum_builds_it_once(monkeypatch):
