@@ -15,9 +15,9 @@ import sys
 from . import formula as fm
 from . import ignatiev as ig
 from . import spectrum as sp
-from .ordinal import from_int, last_exponent, parse_ordinal, print_ordinal
+from .ordinal import ZERO, from_int, last_exponent, parse_ordinal, print_ordinal
 from .parsing import Cursor, ParseError
-from .worm import compare_worms, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
+from .worm import _index, compare_worms, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
 
 _COMPARISON_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
 
@@ -35,9 +35,10 @@ def _emit(args, text: str, payload: dict) -> None:
 
 
 def natural(text: str) -> int:
-    """An ASCII decimal natural number; int() also takes signs, "_" and other scripts' digits."""
+    """An ASCII decimal natural without leading zeros, as in every grammar;
+    int() also takes signs, "_", leading zeros and other scripts' digits."""
     cur = Cursor(text)
-    value = cur.natural()
+    value = _index(cur)
     cur.expect_end()
     return value
 
@@ -53,20 +54,17 @@ def _read_presentation(argument: str) -> sp.TheoryPresentation:
 def _parse_universe(text: str) -> list:
     cur = Cursor(text)
     if cur.try_eat("finite:"):
-        k = cur.natural()
+        k = _index(cur)
         cur.expect_end()
         return [from_int(i) for i in range(k + 1)]
-    ordinals = {parse_ordinal(part) for part in text.split(",")}
-    ordinals.add(from_int(0))
-    # close under last exponents; each step strictly shrinks, so this stops
-    frontier = list(ordinals)
-    while frontier:
-        x = frontier.pop()
-        e = last_exponent(x)
-        if e not in ordinals:
-            ordinals.add(e)
-            frontier.append(e)
-    return sorted(ordinals)
+    # close under last exponents: follow each element's chain down until it
+    # meets the set, which holds 0, the chain's end
+    universe = {ZERO}
+    for x in [parse_ordinal(part) for part in text.split(",")]:
+        while x not in universe:
+            universe.add(x)
+            x = last_exponent(x)
+    return list(universe)
 
 
 def _spectrum_payload(s: sp.Spectrum, args) -> tuple[str, dict]:

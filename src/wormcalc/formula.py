@@ -178,59 +178,56 @@ _PREC_UNARY = 4
 
 def parse_formula(text: str) -> Formula:
     cur = Cursor(text)
-    f = _parse_implies(cur)
-    cur.skip_ws()
+    f = _parse(cur, _PREC_IMPLIES)
     cur.expect_end()
     return f
 
 
-def _parse_implies(cur: Cursor) -> Formula:
-    left = _parse_or(cur)
-    cur.skip_ws()
-    if cur.try_eat("->"):
-        return Implies(left, _parse_implies(cur))
-    return left
+# each infix connective: its precedence, the precedence its right operand is
+# read at, and its builder. -> reads its right operand at its own precedence,
+# so it associates to the right; | and & read theirs one higher, so they
+# associate to the left
+_INFIX = {
+    "->": (_PREC_IMPLIES, _PREC_IMPLIES, Implies),
+    "|": (_PREC_OR, _PREC_AND, disj),
+    "&": (_PREC_AND, _PREC_UNARY, conj),
+}
 
 
-def _parse_or(cur: Cursor) -> Formula:
-    f = _parse_and(cur)
-    while True:
-        cur.skip_ws()
-        if cur.try_eat("|"):
-            f = disj(f, _parse_and(cur))
-        else:
-            return f
-
-
-def _parse_and(cur: Cursor) -> Formula:
+def _parse(cur: Cursor, floor: int) -> Formula:
+    """A formula whose connectives bind at least as tightly as floor, by
+    precedence climbing; returns with the cursor past any whitespace."""
     f = _parse_unary(cur)
     while True:
         cur.skip_ws()
-        if cur.try_eat("&"):
-            f = conj(f, _parse_unary(cur))
-        else:
+        token = cur.peek()
+        if token == "-":
+            token = cur.text[cur.pos : cur.pos + 2]
+        entry = _INFIX.get(token)
+        if entry is None or entry[0] < floor:
             return f
+        _, right, build = entry
+        cur.pos += len(token)
+        f = build(f, _parse(cur, right))
 
 
 def _parse_unary(cur: Cursor) -> Formula:
     cur.skip_ws()
-    if cur.try_eat("~"):
+    token = cur.peek()
+    if token == "T" or token == "F":
+        cur.pos += 1
+        return Top() if token == "T" else Bottom()
+    if token == "~":
+        cur.pos += 1
         return neg(_parse_unary(cur))
-    if cur.try_eat("["):
+    if token == "[" or token == "<":
+        cur.pos += 1
         n = _index(cur)
-        cur.expect("]")
-        return Box(n, _parse_unary(cur))
-    if cur.try_eat("<"):
-        n = _index(cur)
-        cur.expect(">")
-        return Diamond(n, _parse_unary(cur))
-    if cur.try_eat("T"):
-        return Top()
-    if cur.try_eat("F"):
-        return Bottom()
-    if cur.try_eat("("):
-        f = _parse_implies(cur)
-        cur.skip_ws()
+        cur.expect("]" if token == "[" else ">")
+        return (Box if token == "[" else Diamond)(n, _parse_unary(cur))
+    if token == "(":
+        cur.pos += 1
+        f = _parse(cur, _PREC_IMPLIES)
         cur.expect(")")
         return f
     raise cur.error("expected a formula")

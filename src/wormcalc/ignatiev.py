@@ -10,9 +10,10 @@ evaluation agrees with the full model, otherwise diamonds are
 underapproximated. Evaluation builds one truth vector over the worlds per
 subformula, so it costs O(|W|*|f|) whatever the nesting depth. A fragment
 evaluates each distinct formula it is asked about once: the first query
-costs O(|W|*|f|), the same formula at each further world costs O(1), since
-points and formulas carry the hash taken when they were built, and the
-vectors live as long as the model.
+costs O(|W|*|f|) and checks the modal indices in the same walk, the same
+formula at each further world costs O(1), since points and formulas carry
+the hash taken when they were built, and the vectors live as long as the
+model.
 
 A fragment is enumerated on universe positions: one table, built once,
 gives the position of each element's last exponent, so the walk makes no
@@ -347,7 +348,8 @@ _RESULTS = tuple(
 
 def _truth(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
     """f's truth value at every world position, one pass per subformula; a box
-    or diamond counts its body over each span (a, _, c) by prefix sums."""
+    or diamond counts its body over each span (a, _, c) by prefix sums. An
+    index above m's max index raises a bare error for `_vector` to word."""
     match f:
         case fm.Top():
             return [True] * len(m.worlds)
@@ -356,6 +358,8 @@ def _truth(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
         case fm.Implies(left=left, right=right):
             return [not x or y for x, y in zip(_truth(m, left), _truth(m, right))]
         case fm.Box(index=n, body=body) | fm.Diamond(index=n, body=body):
+            if n > m.max_index:
+                raise ModalityOutOfRangeError
             pre = list(accumulate(_truth(m, body), initial=0))
             if isinstance(f, fm.Box):
                 return [pre[c] - pre[a] == c - a for a, _, c in m._spans[n]]
@@ -363,21 +367,19 @@ def _truth(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _check_modalities(m: FiniteSubmodel, f: fm.Formula) -> None:
-    top = fm.max_modality(f)
-    if top > m.max_index:
-        raise ModalityOutOfRangeError(
-            f"formula mentions [{top}] but the submodel stops at [{m.max_index}]"
-        )
-
-
 def _vector(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
-    """f's truth vector on m, built and kept on the first query; a kept
-    formula has already passed the modality check on m."""
+    """f's truth vector on m, built and kept on the first query. That query's
+    one walk refuses an index above m's max index, naming f's highest one,
+    and keeps nothing."""
     vector = m._vectors.get(f)
     if vector is None:
-        _check_modalities(m, f)
-        vector = m._vectors[f] = _truth(m, f)
+        try:
+            vector = _truth(m, f)
+        except ModalityOutOfRangeError:
+            raise ModalityOutOfRangeError(
+                f"formula mentions [{fm.max_modality(f)}] but the submodel stops at [{m.max_index}]"
+            ) from None
+        m._vectors[f] = vector
     return vector
 
 
@@ -389,16 +391,10 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     otherwise diamonds are underapproximated and the result says so. The
     first query of f on m costs O(|W|*|f|) for |W| worlds, whatever the
     nesting depth; m keeps f's truth vector, so f at each further world
-    costs O(1).
+    costs a lookup of p and one of f.
     """
-    # the lookups of _position and _vector, inlined: this runs at every world
-    i = m._index.get(p)
-    if i is None:
-        raise PointNotInModelError(f"{p} is not a world of {m!r}")
-    vector = m._vectors.get(f)
-    if vector is None:
-        vector = _vector(m, f)
-    return m._results[vector[i]]
+    i = m._position(p)
+    return m._results[_vector(m, f)[i]]
 
 
 def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:

@@ -15,7 +15,9 @@ from functools import cmp_to_key
 
 from hypothesis import strategies as st
 
-from wormcalc.formula import Bottom, Box, Diamond, Formula, Implies, disj, formula_of_worm, neg
+from wormcalc.formula import (
+    Bottom, Box, Diamond, Formula, Implies, Top, conj, disj, formula_of_worm, neg
+)
 from wormcalc.ignatiev import Point
 from wormcalc.ordinal import (
     ONE, ZERO, Ordinal, add, compare, from_int, last_exponent, omega_power, print_ordinal
@@ -130,6 +132,14 @@ def in_worms(a: Worm, n: int) -> bool:
     return all(letter >= n for letter in a.letters)
 
 
+def parse_outcome(parser, text: str):
+    """What a parser makes of text: its value, or its error's text and position."""
+    try:
+        return parser(text)
+    except ParseError as error:
+        return (str(error), error.position)
+
+
 def cursor_parse_worm(text: str) -> Worm:
     """The worm grammar read by a Cursor scan, one letter at a time. An
     oracle for `parse_worm`, which splits the dot form on "." instead."""
@@ -232,6 +242,70 @@ def _cursor_nonzero_nat(cur: Cursor) -> int:
     if cur.text[pos] == "0":
         raise ParseError("numbers may not have leading zeros", pos)
     return value
+
+
+def cursor_parse_formula(text: str) -> Formula:
+    """The formula grammar read by one function per precedence level, each
+    trying its connective with `try_eat`, and an atom reader that tries each
+    prefix in turn. An oracle for `parse_formula`, which reads the infix
+    connectives in one precedence-climbing loop."""
+    cur = Cursor(text)
+    f = _cursor_implies(cur)
+    cur.skip_ws()
+    cur.expect_end()
+    return f
+
+
+def _cursor_implies(cur: Cursor) -> Formula:
+    left = _cursor_or(cur)
+    cur.skip_ws()
+    if cur.try_eat("->"):
+        return Implies(left, _cursor_implies(cur))
+    return left
+
+
+def _cursor_or(cur: Cursor) -> Formula:
+    f = _cursor_and(cur)
+    while True:
+        cur.skip_ws()
+        if cur.try_eat("|"):
+            f = disj(f, _cursor_and(cur))
+        else:
+            return f
+
+
+def _cursor_and(cur: Cursor) -> Formula:
+    f = _cursor_unary(cur)
+    while True:
+        cur.skip_ws()
+        if cur.try_eat("&"):
+            f = conj(f, _cursor_unary(cur))
+        else:
+            return f
+
+
+def _cursor_unary(cur: Cursor) -> Formula:
+    cur.skip_ws()
+    if cur.try_eat("~"):
+        return neg(_cursor_unary(cur))
+    if cur.try_eat("["):
+        n = _cursor_index(cur)
+        cur.expect("]")
+        return Box(n, _cursor_unary(cur))
+    if cur.try_eat("<"):
+        n = _cursor_index(cur)
+        cur.expect(">")
+        return Diamond(n, _cursor_unary(cur))
+    if cur.try_eat("T"):
+        return Top()
+    if cur.try_eat("F"):
+        return Bottom()
+    if cur.try_eat("("):
+        f = _cursor_implies(cur)
+        cur.skip_ws()
+        cur.expect(")")
+        return f
+    raise cur.error("expected a formula")
 
 
 def recursive_compare(a: Ordinal, b: Ordinal) -> int:

@@ -193,6 +193,9 @@ def test_parse_errors_exit_2(capsys):
         ("conserve", "PRA", "<w, w>"),
         ("model", "--universe", "finite:١"),
         ("model", "--universe", "finite:-1"),
+        # leading zeros, refused as in every grammar
+        ("model", "--universe", "finite:01"),
+        ("forces", "--universe", "finite:00", "<0>", "T"),
         # labels must name worlds of the fragment
         ("model", "--universe", "finite:2", "--max-index", "1", "--label", "<7>=X"),
         ("model", "--universe", "finite:2", "--max-index", "1", "--label", "<2, 1>=X"),
@@ -229,8 +232,9 @@ def test_deep_inputs_exit_2(capsys):
 
 
 def test_universe_error_position(capsys):
-    code, _, err = run(capsys, "model", "--universe", "finite:١")
-    assert code == 2 and "position 7" in err
+    for universe in ("finite:١", "finite:01"):
+        code, _, err = run(capsys, "model", "--universe", universe)
+        assert code == 2 and "position 7" in err, universe
 
 
 def test_integer_arguments_are_ascii_naturals(capsys):
@@ -243,6 +247,11 @@ def test_integer_arguments_are_ascii_naturals(capsys):
         ("worm-of", "-1", "w"),
         ("model", "--universe", "finite:2", "--max-index", "-1"),
         ("valid", "--universe", "finite:1", "--max-index", "²", "<0>T"),
+        # leading zeros, which every grammar refuses
+        ("o", "-n", "01", "1"),
+        ("worm-of", "00", "w"),
+        ("model", "--universe", "finite:01", "--max-index", "00"),
+        ("valid", "--universe", "finite:1", "--max-index", "007", "<0>T"),
     ):
         with pytest.raises(SystemExit) as info:
             main(list(argv))

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samples import axiom_instances
+import samples
+from samples import axiom_instances, parse_outcome
 from wormcalc.formula import (
     Bottom,
     Box,
@@ -42,6 +45,26 @@ def test_parse_errors_carry_position():
     for text in ["", "T &", "[T", "<1T", "(T", "T)", "G", "T -> ", "<١>T", "[²]F"]:
         with pytest.raises(ParseError):
             parse_formula(text)
+
+
+def test_parse_formula_agrees_with_the_cursor_oracle():
+    # every string up to length 4 over the atoms, ~, both modal brackets,
+    # two digits, parentheses, the connectives' characters and a space: equal
+    # formulas, or parse errors with the same text and position
+    alphabet, oracle = "TF~[]<>01()&|- ", samples.cursor_parse_formula
+    checked = 0
+    for length in range(5):
+        for chars in itertools.product(alphabet, repeat=length):
+            text = "".join(chars)
+            assert parse_outcome(parse_formula, text) == parse_outcome(oracle, text), text
+            checked += 1
+    assert checked == 54_241
+    deep_query = "[0]" * 30 + "(<0>T -> <0>T)"
+    long_chain = " -> ".join(["T", "[1]F", "~<0>T", "(F | T & F)"] * 50)
+    for text in (deep_query, long_chain):
+        assert parse_formula(text) == oracle(text)
+    for text in (long_chain + " ->", " ~[1](T -> F)&<10>F|~T ", "T -> F -", "(T -> F"):
+        assert parse_outcome(parse_formula, text) == parse_outcome(oracle, text), text
 
 
 def test_modal_indices_refuse_leading_zeros():

@@ -279,6 +279,15 @@ def test_kept_vectors_keep_the_errors():
             forces(m, Point.of([ZERO]), out_of_range)
     with pytest.raises(ModalityOutOfRangeError, match=message):
         validity_check(out_of_range, m)
+    # the message names the formula's highest index, not the first index the
+    # walk meets out of range
+    for text, top in (("[2]T -> <5>F", 5), ("<0>[3]T", 3)):
+        refused = parse_formula(text)
+        message = re.escape(f"formula mentions [{top}] but the submodel stops at [1]")
+        for query in (lambda: forces(m, Point.of([ZERO]), refused), lambda: validity_check(refused, m)):
+            with pytest.raises(ModalityOutOfRangeError, match=message):
+                query()
+    assert list(m._vectors) == [kept]
     # a kept formula still needs a world
     with pytest.raises(PointNotInModelError, match="is not a world"):
         forces(m, Point.of([from_int(9)]), kept)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import samples
-from samples import check_invariants, recursive_compare
+from samples import check_invariants, parse_outcome, recursive_compare
 from wormcalc.ordinal import (
     OMEGA,
     ONE,
@@ -137,13 +137,6 @@ def test_rejects_bad_text(text):
         parse_ordinal(text)
 
 
-def _outcome(parser, text):
-    try:
-        return parser(text)
-    except ParseError as error:
-        return (str(error), error.position)
-
-
 def test_parse_ordinal_agrees_with_the_cursor_oracle():
     # every string up to length 5 over digits, w, ^, brackets, + and both
     # product signs: equal ordinals, or parse errors with the same text
@@ -152,16 +145,16 @@ def test_parse_ordinal_agrees_with_the_cursor_oracle():
     for length in range(6):
         for chars in itertools.product(alphabet, repeat=length):
             text = "".join(chars)
-            assert _outcome(parse_ordinal, text) == _outcome(samples.cursor_parse_ordinal, text), text
+            assert parse_outcome(parse_ordinal, text) == parse_outcome(samples.cursor_parse_ordinal, text), text
             checked += 1
     assert checked == 111_111
     for text in ["w^w^w+w^(w*2)*3+1", " ω^ω·2+ω+1 ", "w^(w+1)+w^(1+w)", "w^w+w^(w+1)+1", "w^10+w^9*2+w^(w+"]:
-        assert _outcome(parse_ordinal, text) == _outcome(samples.cursor_parse_ordinal, text), text
+        assert parse_outcome(parse_ordinal, text) == parse_outcome(samples.cursor_parse_ordinal, text), text
     # numerals, which parse_ordinal reads without a scan when they are plain
     long = "9" + "0" * 399
     numerals = [" 7 ", "\t12\n", " 0 ", "00", "007", "0 7", "²", "٣", "1٣", "٣1", long, f" {long} ", "0" + long]
     for text in numerals:
-        assert _outcome(parse_ordinal, text) == _outcome(samples.cursor_parse_ordinal, text), text
+        assert parse_outcome(parse_ordinal, text) == parse_outcome(samples.cursor_parse_ordinal, text), text
     assert parse_ordinal(long).as_int() == 9 * 10**399
 
 
