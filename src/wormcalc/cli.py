@@ -17,7 +17,7 @@ from . import ignatiev as ig
 from . import spectrum as sp
 from .ordinal import ZERO, from_int, last_exponent, parse_ordinal, print_ordinal
 from .parsing import Cursor, ParseError
-from .worm import _index, compare_worms, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
+from .worm import compare_worms, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
 
 _COMPARISON_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
 
@@ -38,7 +38,7 @@ def natural(text: str) -> int:
     """An ASCII decimal natural without leading zeros, as in every grammar;
     int() also takes signs, "_", leading zeros and other scripts' digits."""
     cur = Cursor(text)
-    value = _index(cur)
+    value = cur.numeral("indices")
     cur.expect_end()
     return value
 
@@ -54,7 +54,7 @@ def _read_presentation(argument: str) -> sp.TheoryPresentation:
 def _parse_universe(text: str) -> list:
     cur = Cursor(text)
     if cur.try_eat("finite:"):
-        k = _index(cur)
+        k = cur.numeral("indices")
         cur.expect_end()
         return [from_int(i) for i in range(k + 1)]
     # close under last exponents: follow each element's chain down until it

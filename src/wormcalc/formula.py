@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parsing import Cursor, ParseError
-from .worm import Worm, _index, _is_natural
+from .parsing import Cursor, ParseError, is_natural
+from .worm import Worm
 
 __all__ = [
     "Formula",
@@ -106,7 +106,7 @@ class _Modal(Formula):
     body: Formula
 
     def __post_init__(self):
-        if not _is_natural(self.index):
+        if not is_natural(self.index):
             raise ValueError(f"modal index {self.index!r} must be a natural number")
         object.__setattr__(self, "_hash", hash((self.index, self.body)))
 
@@ -222,7 +222,7 @@ def _parse_unary(cur: Cursor) -> Formula:
         return neg(_parse_unary(cur))
     if token == "[" or token == "<":
         cur.pos += 1
-        n = _index(cur)
+        n = cur.numeral("indices")
         cur.expect("]" if token == "[" else ">")
         return (Box if token == "[" else Diamond)(n, _parse_unary(cur))
     if token == "(":

@@ -37,8 +37,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
 from .ordinal import ZERO, Ordinal, compare, last_exponent, parse_ordinal, print_ordinal
-from .parsing import ParseError
-from .worm import Worm, _is_natural
+from .parsing import ParseError, is_natural
+from .worm import Worm
 
 __all__ = [
     "Point",
@@ -120,6 +120,8 @@ class Point:
         return cls(tuple(stored))
 
     def coord(self, n: int) -> Ordinal:
+        if not is_natural(n):
+            raise ValueError(f"coordinate {n!r} must be a natural number")
         return self.coords[n] if n < len(self.coords) else ZERO
 
     @property
@@ -229,7 +231,7 @@ class FiniteSubmodel:
     """
 
     def __init__(self, universe: Sequence[Ordinal], max_index: int):
-        if not _is_natural(max_index):
+        if not is_natural(max_index):
             raise UniverseError(f"max index {max_index!r} must be a natural number")
         if not all(isinstance(u, Ordinal) for u in universe):
             raise TypeError("universe elements must be Ordinals")
@@ -299,20 +301,24 @@ class FiniteSubmodel:
             raise PointNotInModelError(f"{p} is not a world of {self!r}")
         return i
 
+    def _relation(self, n: int) -> tuple[tuple[int, int, int], ...]:
+        """The spans of relation n, once n is checked to be one of 0..max_index."""
+        if not (is_natural(n) and n <= self.max_index):
+            raise ModalityOutOfRangeError(f"relation {n!r} is outside 0..{self.max_index}")
+        return self._spans[n]
+
     def successors(self, n: int, p: Point) -> tuple[Point, ...]:
-        if not 0 <= n <= self.max_index:
-            raise ModalityOutOfRangeError(f"relation {n} is outside 0..{self.max_index}")
-        a, _, c = self._spans[n][self._position(p)]
+        a, _, c = self._relation(n)[self._position(p)]
         return self.worlds[a:c]
 
     def edges(self, n: int) -> list[tuple[Point, Point]]:
-        return [(p, q) for p in self.worlds for q in self.successors(n, p)]
+        spans = self._relation(n)
+        return [(p, q) for p, (a, _, c) in zip(self.worlds, spans) for q in self.worlds[a:c]]
 
     def edge_count(self, n: int) -> int:
         """len(edges(n)), summed over the spans without building a pair."""
-        if not 0 <= n <= self.max_index:
-            raise ModalityOutOfRangeError(f"relation {n} is outside 0..{self.max_index}")
-        return sum(c - a for a, _, c in self._spans[n]) if n < self._depth else 0
+        spans = self._relation(n)
+        return sum(c - a for a, _, c in spans) if n < self._depth else 0
 
     def __contains__(self, p: Point) -> bool:
         return p in self._index

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .parsing import Cursor, ParseError
+from .parsing import Cursor, ParseError, are_numerals, is_natural
 
 __all__ = [
     "Ordinal",
@@ -47,9 +47,11 @@ __all__ = [
 class Ordinal:
     """Cantor normal form: a tuple of (exponent, coefficient) terms.
 
-    Instances are immutable and validated on construction, so any reachable
-    value is canonical. Exponents are themselves Ordinals; coefficients are
-    positive ints (not bools). The empty term tuple is 0.
+    Instances are immutable and the constructor validates its terms, so any
+    reachable value is canonical; the parser and the arithmetic below, whose
+    results are canonical by construction, build through `_from_checked`.
+    Exponents are themselves Ordinals; coefficients are positive ints (not
+    bools). The empty term tuple is 0.
 
     Construction also stores the hash and the order key described above.
     Equality checks identity, then the hashes, then the keys.
@@ -62,7 +64,7 @@ class Ordinal:
         for exponent, coefficient in self.terms:
             if not isinstance(exponent, Ordinal):
                 raise TypeError(f"exponent {exponent!r} is not an Ordinal")
-            if isinstance(coefficient, bool) or not isinstance(coefficient, int) or coefficient < 1:
+            if not (is_natural(coefficient) and coefficient):
                 raise ValueError(f"coefficient {coefficient!r} must be a positive int")
             if key and key[-2] <= exponent._key:
                 raise ValueError("exponents must be strictly decreasing")
@@ -77,11 +79,13 @@ class Ordinal:
         key = []
         for exponent, coefficient in terms:
             key += (exponent._key, coefficient)
+        # object.__setattr__ keeps the attributes inline; writing x.__dict__
+        # builds faster but makes a dict, and every later read of the
+        # value's terms or key about twice as slow
         x = object.__new__(cls)
-        fields = x.__dict__  # cheaper than object.__setattr__ past the frozen guard
-        fields["terms"] = terms
-        fields["_key"] = tuple(key)
-        fields["_hash"] = hash(terms)
+        object.__setattr__(x, "terms", terms)
+        object.__setattr__(x, "_key", tuple(key))
+        object.__setattr__(x, "_hash", hash(terms))
         return x
 
     def __hash__(self) -> int:
@@ -129,9 +133,9 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
-    if n < 0:
-        raise ValueError("ordinals are non-negative")
-    return ZERO if n == 0 else Ordinal(((ZERO, n),))
+    if not is_natural(n):
+        raise ValueError(f"value {n!r} must be a natural number")
+    return Ordinal._from_checked(((ZERO, n),)) if n else ZERO
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
@@ -156,13 +160,13 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
         cut += 1
     if cut < len(a.terms) and compare(a.terms[cut][0], lead) == 0:
         merged = (lead, a.terms[cut][1] + b.terms[0][1])
-        return Ordinal(a.terms[:cut] + (merged,) + b.terms[1:])
-    return Ordinal(a.terms[:cut] + b.terms)
+        return Ordinal._from_checked(a.terms[:cut] + (merged,) + b.terms[1:])
+    return Ordinal._from_checked(a.terms[:cut] + b.terms)
 
 
 def omega_power(e: Ordinal) -> Ordinal:
     """w^e as a single-term canonical ordinal (w^0 = 1)."""
-    return Ordinal(((e, 1),))
+    return Ordinal._from_checked(((e, 1),))
 
 
 def last_exponent(a: Ordinal) -> Ordinal:
@@ -180,8 +184,8 @@ def hyperexp(n: int, x: Ordinal) -> Ordinal:
     The base map sends 0 to 0 (the "-1 +" cancels w^0 = 1) and any x > 0 to
     w^x, which is then already additively indecomposable.
     """
-    if n < 0:
-        raise ValueError("iteration count must be a natural number")
+    if not is_natural(n):
+        raise ValueError(f"iteration count {n!r} must be a natural number")
     for _ in range(n):
         x = omega_power(x) if x.terms else ZERO
     return x
@@ -203,7 +207,7 @@ def parse_ordinal(text: str) -> Ordinal:
     # a plain numeral, the whole of a chain universe, needs no scan and no
     # second check; "00", other scripts' digits and the rest go through the
     # Cursor
-    if text.isdigit() and text.isascii() and (text[0] != "0" or len(text) == 1):
+    if are_numerals((text,)):
         return Ordinal._from_checked(((ZERO, int(text)),)) if text != "0" else ZERO
     cur = Cursor(text)
     value = _parse_ordinal(cur)
@@ -212,9 +216,8 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def _parse_ordinal(cur: Cursor) -> Ordinal:
-    if cur.try_eat("0"):
-        if cur.at_digit():
-            raise ParseError("numbers may not have leading zeros", cur.pos - 1)
+    if cur.peek() == "0":
+        cur.numeral("numbers")
         return ZERO
     # every term is read before the order is checked: a syntax error wins
     positions, terms = [cur.pos], [_parse_term(cur)]
@@ -224,19 +227,19 @@ def _parse_ordinal(cur: Cursor) -> Ordinal:
     for (previous, _), (exponent, _), pos in zip(terms, terms[1:], positions[1:]):
         if compare(exponent, previous) >= 0:
             raise ParseError("non-canonical form: exponents must strictly decrease", pos)
-    return Ordinal(tuple(terms))
+    return Ordinal._from_checked(tuple(terms))
 
 
 def _parse_term(cur: Cursor) -> tuple[Ordinal, int]:
     """A term as (exponent, coefficient); a bare numeral n is w^0 * n."""
     if cur.at_digit():
-        n = _nonzero_nat(cur)
+        n = cur.numeral("numbers", nonzero=True)
         if cur.peek() in ("*", "·"):
             raise ParseError("a coefficient may only follow a w-power", cur.pos)
         return ZERO, n
     exponent = _parse_power(cur)
     if cur.try_eat("*") or cur.try_eat("·"):
-        return exponent, _nonzero_nat(cur)
+        return exponent, cur.numeral("numbers", nonzero=True)
     return exponent, 1
 
 
@@ -251,18 +254,8 @@ def _parse_power(cur: Cursor) -> Ordinal:
         cur.expect(")")
         return inner
     if cur.at_digit():
-        return from_int(_nonzero_nat(cur))
+        return from_int(cur.numeral("numbers", nonzero=True))
     return omega_power(_parse_power(cur))
-
-
-def _nonzero_nat(cur: Cursor) -> int:
-    pos = cur.pos
-    value = cur.natural()
-    if value == 0:
-        raise ParseError("zero is not allowed here", pos)
-    if cur.text[pos] == "0":
-        raise ParseError("numbers may not have leading zeros", pos)
-    return value
 
 
 def print_ordinal(a: Ordinal, unicode: bool = False) -> str:

@@ -1,4 +1,12 @@
-"""Small scanner shared by the ordinal, worm, formula and point parsers."""
+"""The natural-number rules and the small scanner shared by every grammar.
+
+Worm letters, modal indices, presentation levels, relation numbers,
+iteration counts and CLI integers are all naturals, and each rule for them
+is written once, here: `is_natural` for values (an int n >= 0, not a bool);
+`are_numerals` for whole strings and `Cursor.numeral` for a scan, both
+ASCII digits without leading zeros. Parsers and public constructors check
+their inputs with these, once, and build their results unchecked.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +14,27 @@ __all__ = ["ParseError", "Cursor"]
 
 # str.isdigit would also accept other scripts' digits, and superscripts
 _ASCII_DIGITS = frozenset("0123456789")
+
+
+def is_natural(n) -> bool:
+    """An int n >= 0 but no bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
+def are_numerals(pieces) -> bool:
+    """Whether every piece is a string of ASCII digits without leading zeros.
+
+    One call covers a whole text (its pieces) or a whole JSON object (its
+    keys), so a hot path pays one Python call, not one per piece; a piece
+    that is not a string makes the answer False.
+    """
+    try:
+        for piece in pieces:
+            if not (str.isdigit(piece) and piece.isascii()) or (piece[0] == "0" and len(piece) > 1):
+                return False
+    except TypeError:
+        return False
+    return True
 
 
 class ParseError(ValueError):
@@ -58,6 +87,21 @@ class Cursor:
         if self.pos == start:
             raise ParseError("expected a number", start)
         return int(self.text[start : self.pos])
+
+    def numeral(self, noun: str, nonzero: bool = False) -> int:
+        """Consume a natural without leading zeros, and with nonzero, not 0.
+
+        Each grammar names its numerals in the error: "numbers" in ordinals,
+        "indices" in worms, formulas and CLI integers. Both errors point at
+        the numeral's first digit, and 0 is refused before a leading zero.
+        """
+        start = self.pos
+        value = self.natural()
+        if nonzero and not value:
+            raise ParseError("zero is not allowed here", start)
+        if self.text[start] == "0" and self.pos - start > 1:
+            raise ParseError(f"{noun} may not have leading zeros", start)
+        return value
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)

@@ -24,7 +24,8 @@ from .ignatiev import Point, min_point_for_worm, print_point, valid_point
 from .ordinal import (
     ZERO, add, compare, from_int, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
-from .worm import TOP, Worm, _cut, _is_natural, _rank, _worm_of, parse_worm, print_worm
+from .parsing import are_numerals, is_natural
+from .worm import TOP, Worm, _cut, _rank, _worm_of, parse_worm, print_worm
 
 __all__ = [
     "TheoryPresentation",
@@ -60,7 +61,7 @@ class TheoryPresentation:
 
     def __post_init__(self):
         for level, worm in self.entries:
-            if not (_is_natural(level) and isinstance(worm, Worm)):
+            if not (is_natural(level) and isinstance(worm, Worm)):
                 raise ValueError(f"entry {(level, worm)!r} must pair a natural level with a Worm")
         levels = [level for level, _ in self.entries]
         if levels != sorted(set(levels)):
@@ -70,7 +71,7 @@ class TheoryPresentation:
     def of(cls, entries: Mapping[int, Worm], name: str | None = None) -> "TheoryPresentation":
         # only natural levels are sure to sort; the constructor refuses the rest
         items = tuple(entries.items())
-        return cls(tuple(sorted(items)) if all(map(_is_natural, entries)) else items, name)
+        return cls(tuple(sorted(items)) if all(map(is_natural, entries)) else items, name)
 
     def worm_at(self, level: int) -> Worm:
         for entry_level, worm in self.entries:
@@ -98,14 +99,12 @@ class TheoryPresentation:
         if "name" in data and not isinstance(name, str):
             raise ValueError('the presentation "name" must be a string')
         entries = []
+        # distinct keys name distinct levels only without leading zeros; the
+        # keys are checked together, and one by one only to name a bad one
+        numerals = are_numerals(data["entries"])
         for key, text in data["entries"].items():
-            # distinct keys name distinct levels only without leading zeros
-            if not (isinstance(key, str) and key.isdigit() and key.isascii()) or (
-                key[0] == "0" and len(key) > 1
-            ):
-                raise ValueError(
-                    f"level {key!r} must be a natural number without leading zeros"
-                )
+            if not (numerals or are_numerals((key,))):
+                raise ValueError(f"level {key!r} must be a natural number without leading zeros")
             if not isinstance(text, str):
                 raise ValueError(f"the worm at level {key} must be a string")
             entries.append((int(key), parse_worm(text)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .ordinal import ONE, ZERO, Ordinal, add, compare, hyperexp
-from .parsing import Cursor, ParseError
+from .parsing import Cursor, are_numerals, is_natural
 
 __all__ = [
     "Worm",
@@ -29,18 +29,13 @@ __all__ = [
 ]
 
 
-def _is_natural(n) -> bool:
-    """An int n >= 0 but no bool: worm letters, modal indices and levels."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
-
-
 @dataclass(frozen=True, repr=False)
 class Worm:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
         for letter in self.letters:
-            if not _is_natural(letter):
+            if not is_natural(letter):
                 raise ValueError(f"letter {letter!r} must be a natural number")
 
     @classmethod
@@ -86,14 +81,21 @@ def _cut(letters: tuple[int, ...], n: int) -> int:
     return cut
 
 
+def _level(n: int) -> int:
+    # n, once it is checked to be a natural: every level argument's rule
+    if not is_natural(n):
+        raise ValueError(f"level {n!r} must be a natural number")
+    return n
+
+
 def head(a: Worm, n: int) -> Worm:
     """The maximal leading block of letters that are all >= n."""
-    return Worm(a.letters[: _cut(a.letters, n)])
+    return Worm._from_checked(a.letters[: _cut(a.letters, _level(n))])
 
 
 def remainder(a: Worm, n: int) -> Worm:
     """What head(a, n) leaves behind: empty, or starting with a letter < n."""
-    return Worm(a.letters[_cut(a.letters, n) :])
+    return Worm._from_checked(a.letters[_cut(a.letters, _level(n)) :])
 
 
 # normalizing the 83,130 acceptance presentations fills 498 entries and a
@@ -141,9 +143,7 @@ def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
     all letters up by n applies the n-th hyperexponential. At level n the
     rank only sees the level-n head, read with n in the part of 0.
     """
-    if not _is_natural(level):
-        raise ValueError(f"level {level!r} must be a natural number")
-    return _rank(a.letters[: _cut(a.letters, level)], level)
+    return _rank(a.letters[: _cut(a.letters, _level(level))], level)
 
 
 def compare_worms(a: Worm, b: Worm, level: int = 0) -> int:
@@ -164,9 +164,7 @@ def worm_of_ordinal(x: Ordinal, level: int = 0) -> Worm:
     becomes the worm of e shifted up one level, the copies joined by 0s;
     at level n every letter is shifted up by n.
     """
-    if not _is_natural(level):
-        raise ValueError(f"level {level!r} must be a natural number")
-    return Worm._from_checked(_worm_of(x, level))
+    return Worm._from_checked(_worm_of(x, _level(level)))
 
 
 def _worm_of(x: Ordinal, base: int) -> tuple[int, ...]:
@@ -197,33 +195,22 @@ def parse_worm(text: str) -> Worm:
     if text == "T":
         return TOP
     pieces = text.split(".")
-    for piece in pieces:
-        if not (piece.isdigit() and piece.isascii()) or (piece[0] == "0" and len(piece) > 1):
-            break
-    else:
+    if are_numerals(pieces):
         return Worm._from_checked(tuple(map(int, pieces)))
     # the diamond form, or malformed text: scan it, and fail where the scan stops
     cur = Cursor(text)
     letters = []
     if cur.peek() in ("<", "T"):
         while cur.try_eat("<"):
-            letters.append(_index(cur))
+            letters.append(cur.numeral("indices"))
             cur.expect(">")
         cur.expect("T")
     else:
-        letters.append(_index(cur))
+        letters.append(cur.numeral("indices"))
         while cur.try_eat("."):
-            letters.append(_index(cur))
+            letters.append(cur.numeral("indices"))
     cur.expect_end()
     return Worm._from_checked(tuple(letters))
-
-
-def _index(cur: Cursor) -> int:
-    pos = cur.pos
-    value = cur.natural()
-    if cur.pos - pos > 1 and cur.text[pos] == "0":
-        raise ParseError("indices may not have leading zeros", pos)
-    return value
 
 
 def print_worm(a: Worm, diamonds: bool = False) -> str:

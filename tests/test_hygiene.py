@@ -1,6 +1,6 @@
 """Source-level guards: tests that cannot shadow each other, a package
-that imports nothing outside the standard library, and exports that name
-what the modules define."""
+that imports nothing outside the standard library, exports that name what
+the modules define, and modules that share no private names."""
 
 import ast
 import sys
@@ -63,3 +63,21 @@ def test_exports_are_defined_and_reexports_are_exported():
             assert node.level == 1 and node.module in trees, node.module
             names = exported(trees[node.module]) or []
             assert sorted(alias.name for alias in node.names if alias.name not in names) == [], node.module
+
+
+# spectrum's letter-level fast path reads worm's memoized rank and canonical
+# letters straight from the letter tuples, without building a Worm
+SIBLING_PRIVATE_IMPORTS = {("spectrum", "worm", name) for name in ("_cut", "_rank", "_worm_of")}
+
+
+def test_modules_share_no_private_names_and_one_numeral_rule():
+    package = ROOT / "src" / "wormcalc"
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+                private = {(path.stem, node.module, name) for name in names}
+                assert private <= SIBLING_PRIVATE_IMPORTS, private
+        # the text rule for numerals lives in parsing.py alone
+        assert "isdigit(" not in text or path.name == "parsing.py", path.name

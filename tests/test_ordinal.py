@@ -159,15 +159,21 @@ def test_parse_ordinal_agrees_with_the_cursor_oracle():
 
 
 def test_parsing_a_sum_builds_it_once(monkeypatch):
-    # a k-term sum is checked and built once, not once per term read so far
+    # a k-term sum is built once, not once per term read so far, whether
+    # through the checked constructor or the unchecked `_from_checked`
     built = []
-    post_init = Ordinal.__post_init__
+    post_init, from_checked = Ordinal.__post_init__, Ordinal._from_checked.__func__
 
     def counting(self):
         post_init(self)
         built.append(len(self.terms))
 
+    def counting_checked(cls, terms):
+        built.append(len(terms))
+        return from_checked(cls, terms)
+
     monkeypatch.setattr(Ordinal, "__post_init__", counting)
+    monkeypatch.setattr(Ordinal, "_from_checked", classmethod(counting_checked))
     k = 40
     value = parse_ordinal("+".join(f"w^{i}" for i in range(k - 1, 1, -1)) + "+w+1")
     assert len(value.terms) == k
