@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parsers, ranks and printers recurse once per nesting level
+        # parsers and printers recurse once per nesting level; ranks do not
         print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
         return 2
 

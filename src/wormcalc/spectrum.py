@@ -25,7 +25,7 @@ from .ordinal import (
     ZERO, add, compare, from_int, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
 from .parsing import are_numerals, is_natural
-from .worm import TOP, Worm, _cut, _rank, _worm_of, parse_worm, print_worm
+from .worm import Worm, _ranks, _worm_of, parse_worm, print_worm
 
 __all__ = [
     "TheoryPresentation",
@@ -72,16 +72,6 @@ class TheoryPresentation:
         # only natural levels are sure to sort; the constructor refuses the rest
         items = tuple(entries.items())
         return cls(tuple(sorted(items)) if all(map(is_natural, entries)) else items, name)
-
-    def worm_at(self, level: int) -> Worm:
-        for entry_level, worm in self.entries:
-            if entry_level == level:
-                return worm
-        return TOP
-
-    @property
-    def max_level(self) -> int:
-        return self.entries[-1][0] if self.entries else 0
 
     def to_json(self) -> dict:
         data: dict = {"entries": {str(level): print_worm(w) for level, w in self.entries}}
@@ -199,9 +189,9 @@ def normalize(t: TheoryPresentation) -> Spectrum:
     """
     coords = []
     for n, w in t.entries:
-        x = _rank(w.letters[: _cut(w.letters, n)], n)
-        if x.terms:
-            coords += [ZERO] * (n - len(coords)) + [x]
+        ranks = _ranks(w.letters)
+        if n < len(ranks) and ranks[n].terms:
+            coords += [ZERO] * (n - len(coords)) + [ranks[n]]
     for n in range(len(coords) - 2, -1, -1):
         if compare(coords[n + 1], last_exponent(coords[n])) > 0:
             coords[n] = add(coords[n], omega_power(coords[n + 1]))

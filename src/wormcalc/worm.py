@@ -6,6 +6,12 @@ notations below epsilon_0: `ordinal_of` ranks a worm inside the
 well-ordering of level-n worms, `worm_of_ordinal` inverts it, and
 `compare_worms` decides the level-n ordering through those ranks instead of
 proof search.
+
+A worm's ranks at all levels form one table, taken in one sweep from the
+top letter down and memoized per letter tuple: going down a level costs one
+w-power step, o(up A) = -1 + w^o(A), not a new tower, and nothing
+recurses: the one-letter worm k builds k ordinals, and every worm ranks in
+constant stack.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .ordinal import ONE, ZERO, Ordinal, add, compare, hyperexp
+from .ordinal import ONE, ZERO, Ordinal, add, compare, omega_power
 from .parsing import Cursor, are_numerals, is_natural
 
 __all__ = [
@@ -54,9 +60,10 @@ class Worm:
     def ranks(self) -> tuple[Ordinal, ...]:
         """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
 
-        Taken once per distinct letter tuple (`_ranks`), and kept in the
-        instance dict, outside the dataclass fields, so equality, hashing and
-        repr still see only the letters.
+        The rank table `ordinal_of` reads too, swept once per distinct
+        letter tuple (`_ranks`), and kept in the instance dict, outside the
+        dataclass fields, so equality, hashing and repr still see only the
+        letters.
         """
         return _ranks(self.letters)
 
@@ -98,41 +105,59 @@ def remainder(a: Worm, n: int) -> Worm:
     return Worm._from_checked(a.letters[_cut(a.letters, _level(n)) :])
 
 
-# normalizing the 83,130 acceptance presentations fills 498 entries and a
-# benchmark run under 200, so neither evicts; the bound only keeps a
-# long-running process from growing the memo, or the per-worm memo `_ranks`,
+# one entry per distinct letter tuple: normalizing the 83,130 acceptance
+# presentations fills 341 entries and a benchmark run under 140, so neither
+# evicts; the bound only keeps a long-running process from growing the memo
 # without limit
 _RANK_MEMO_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_RANK_MEMO_SIZE)
-def _rank(letters: tuple[int, ...], base: int) -> Ordinal:
-    # every letter is >= base, and base plays the part of the letter 0
-    if not letters:
-        return ZERO
-    m = min(letters)
-    if m > base:
-        return hyperexp(m - base, _rank(letters, m))
-    # split at every base letter, B_0 base B_1 ... base B_k, in one loop:
-    # the rank is rank(B_k) + 1 + ... + 1 + rank(B_0), and only the blocks,
-    # whose letters are all above base, recurse
-    blocks, start = [], 0
-    for i, letter in enumerate(letters):
-        if letter == base:
-            blocks.append(letters[start:i])
-            start = i + 1
-    value = _rank(letters[start:], base)
-    for block in reversed(blocks):
-        value = add(add(value, ONE), _rank(block, base))
-    return value
-
-
-@lru_cache(maxsize=_RANK_MEMO_SIZE)
 def _ranks(letters: tuple[int, ...]) -> tuple[Ordinal, ...]:
-    # every level's rank of one worm, so a worm whose letters were seen
-    # before costs one lookup however many levels it has
-    top = max(letters) + 1 if letters else 0
-    return tuple(_rank(letters[: _cut(letters, n)], n) for n in range(top + 1))
+    # Every level's rank in one sweep from the top level down. At level n
+    # the letters >= n form maximal runs, each held as a record [level,
+    # value]: its rank at that level, read with the level in the part of 0.
+    # Going down to level n, each letter n, left to right, joins the run on
+    # its left and the run on its right into one run worth
+    # rank(right) + 1 + rank(left). A run that meets no letter n owes one
+    # step x -> w^x per level (o(up A) = -1 + w^o(A)), paid only when it is
+    # next read; the run at position 0 is read at every level, and its value
+    # there is that level's rank. Equal runs share one record, so equal
+    # values are one object and `add` compares their keys by identity
+    # instead of descending two towers.
+    top = max(letters, default=-1) + 1
+    at: dict[int, list[int]] = {}
+    for i, letter in enumerate(letters):
+        at.setdefault(letter, []).append(i)
+    # each run under both its end positions: the other end, and its record
+    ends: dict[int, tuple[int, list]] = {}
+    empty = [0, ZERO]  # the empty run: 0 at every level, never stepped
+    ranks = [ZERO]
+    for n in range(top - 1, -1, -1):
+        # joins made at this level, keyed by the identities of their parts,
+        # which the entries keep alive
+        joined: dict = {}
+        for i in at.get(n, ()):
+            # a run that meets i from the left ends at i - 1, and one from
+            # the right starts at i + 1
+            start, left = ends.pop(i - 1, (i, empty))
+            end, right = ends.pop(i + 1, (i, empty))
+            key = (id(left), id(right))
+            if key not in joined:
+                value = add(add(_read(right, n), ONE), _read(left, n))
+                joined[key] = (left, right, [n, value])
+            run = joined[key][2]
+            ends[start], ends[end] = (end, run), (start, run)
+        ranks.append(_read(ends[0][1], n) if 0 in ends else ZERO)
+    return tuple(reversed(ranks))
+
+
+def _read(run: list, n: int) -> Ordinal:
+    # a run's value at level n, paying the steps it owes
+    while run[0] > n:
+        run[0] -= 1
+        run[1] = omega_power(run[1])
+    return run[1]
 
 
 def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
@@ -141,9 +166,12 @@ def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
     At level 0 this is the recursion: the empty worm is 0; a worm split
     around a 0-letter as B0A is worth rank(A) + 1 + rank(B); and shifting
     all letters up by n applies the n-th hyperexponential. At level n the
-    rank only sees the level-n head, read with n in the part of 0.
+    rank only sees the level-n head, read with n in the part of 0. Every
+    level is read from the worm's one rank table, `_ranks`; past the top
+    letter the head is empty and the rank is 0.
     """
-    return _rank(a.letters[: _cut(a.letters, _level(level))], level)
+    ranks = _ranks(a.letters)
+    return ranks[level] if _level(level) < len(ranks) else ZERO
 
 
 def compare_worms(a: Worm, b: Worm, level: int = 0) -> int:

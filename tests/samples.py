@@ -11,7 +11,7 @@ tests need, so the package does not carry them.
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ from wormcalc.formula import (
 )
 from wormcalc.ignatiev import Point
 from wormcalc.ordinal import (
-    ONE, ZERO, Ordinal, add, compare, from_int, last_exponent, omega_power, print_ordinal
+    ONE, ZERO, Ordinal, add, compare, from_int, hyperexp, last_exponent, omega_power, print_ordinal
 )
 from wormcalc.parsing import Cursor, ParseError
 from wormcalc.spectrum import Spectrum, TheoryPresentation
@@ -324,6 +324,44 @@ def recursive_compare(a: Ordinal, b: Ordinal) -> int:
     if len(a.terms) != len(b.terms):
         return -1 if len(a.terms) < len(b.terms) else 1
     return 0
+
+
+def recursive_ranks(letters: tuple[int, ...]) -> tuple[Ordinal, ...]:
+    """A worm's rank at levels 0 .. max letter + 1, each level on its own.
+
+    Level n ranks the leading block of letters >= n by the recursion on
+    the block: split at every letter n, or, when the smallest letter m is
+    above n, take the rank at level m up m - n hyperexponentials. An oracle
+    for the one top-down sweep `_ranks`; it recurses once per level jump
+    and rebuilds each level's tower, so it is quadratic in the top letter.
+    """
+    top = max(letters) + 1 if letters else 0
+    ranks = []
+    for n in range(top + 1):
+        cut = 0
+        while cut < len(letters) and letters[cut] >= n:
+            cut += 1
+        ranks.append(_recursive_rank(letters[:cut], n))
+    return tuple(ranks)
+
+
+@lru_cache(maxsize=None)
+def _recursive_rank(letters: tuple[int, ...], base: int) -> Ordinal:
+    # every letter is >= base, and base plays the part of the letter 0
+    if not letters:
+        return ZERO
+    m = min(letters)
+    if m > base:
+        return hyperexp(m - base, _recursive_rank(letters, m))
+    blocks, start = [], 0
+    for i, letter in enumerate(letters):
+        if letter == base:
+            blocks.append(letters[start:i])
+            start = i + 1
+    value = _recursive_rank(letters[start:], base)
+    for block in reversed(blocks):
+        value = add(add(value, ONE), _recursive_rank(block, base))
+    return value
 
 
 def check_invariants(a: Ordinal) -> None:

@@ -220,11 +220,16 @@ def test_deep_inputs_exit_2(capsys):
     # long flat worms have no nesting: ranks split at every base letter in a loop
     assert run(capsys, "o", ".".join(["0"] * 1200)) == (0, "1200", "")
     assert run(capsys, "o", "--ascii", ".".join(["1"] * 1500)) == (0, "w^1500", "")
+    # ranks take no stack per level; printing a tower 600 high still fits
+    code, out, err = run(capsys, "o", ".".join(map(str, range(1, 601))))
+    assert (code, out.count("\n"), err) == (0, 0, "")
     # nesting past the recursion limit is refused, never a traceback with exit 1
     for argv in (
         ("spectrum", '{"entries":{"1200":"1200"}}'),
         ("worm-of", "0", "w^" * 2000 + "1"),
         ("valid", "--universe", "finite:3", "~" * 3000 + "T"),
+        # ranked in well under a second, but its point prints too deep
+        ("min-point", "5000"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err.count("\n")) == (2, "", 1), argv[0]

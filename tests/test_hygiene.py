@@ -65,9 +65,10 @@ def test_exports_are_defined_and_reexports_are_exported():
             assert sorted(alias.name for alias in node.names if alias.name not in names) == [], node.module
 
 
-# spectrum's letter-level fast path reads worm's memoized rank and canonical
-# letters straight from the letter tuples, without building a Worm
-SIBLING_PRIVATE_IMPORTS = {("spectrum", "worm", name) for name in ("_cut", "_rank", "_worm_of")}
+# spectrum's letter-level fast path reads worm's rank table and canonical
+# letters straight from the letter tuples, without building a Worm; the
+# head cut stays inside worm.py
+SIBLING_PRIVATE_IMPORTS = {("spectrum", "worm", name) for name in ("_ranks", "_worm_of")}
 
 
 def test_modules_share_no_private_names_and_one_numeral_rule():

@@ -84,8 +84,9 @@ def normalize_presentation_oracle(t: TheoryPresentation) -> tuple[Worm, ...]:
     the new level-(n+1) head is exactly the worm above, so no earlier step
     can fire again.
     """
-    top = t.max_level
-    worms = [head(t.worm_at(n), n) for n in range(top + 1)]
+    entries = dict(t.entries)
+    top = max(entries, default=0)
+    worms = [head(entries.get(n, TOP), n) for n in range(top + 1)]
     for n in range(top - 1, -1, -1):
         upper = worms[n + 1]
         if compare_worms(worms[n], upper, n + 1) < 0:
@@ -95,9 +96,7 @@ def normalize_presentation_oracle(t: TheoryPresentation) -> tuple[Worm, ...]:
 
 def test_presentation_construction():
     t = TheoryPresentation.of({1: parse_worm("1"), 0: parse_worm("0.1")})
-    assert t.worm_at(0) == parse_worm("0.1")
-    assert t.worm_at(5) == TOP
-    assert t.max_level == 1
+    assert t.entries == ((0, parse_worm("0.1")), (1, parse_worm("1")))
     with pytest.raises(ValueError):
         TheoryPresentation(((-1, TOP),))
     with pytest.raises(ValueError):
@@ -118,8 +117,7 @@ def test_presentation_of_checks_levels_before_sorting():
 
 def test_presentation_json_round_trip():
     t = TheoryPresentation.from_json('{"entries":{"0":"0.1","1":"1"}}')
-    assert t.worm_at(0) == parse_worm("0.1")
-    assert t.worm_at(1) == parse_worm("1")
+    assert dict(t.entries) == {0: parse_worm("0.1"), 1: parse_worm("1")}
     assert TheoryPresentation.from_json(t.to_json()) == t
     named = TheoryPresentation.from_json('{"name":"demo","entries":{"2":"2"}}')
     assert named.name == "demo"
@@ -298,8 +296,9 @@ def test_normalize_idempotent():
 def test_normalize_dominates_input():
     for t in small_presentations():
         s = normalize(t)
-        for n in range(t.max_level + 1):
-            before = ordinal_of(head(t.worm_at(n), n), n)
+        # an absent level ranks 0, which every coordinate dominates
+        for n, w in t.entries:
+            before = ordinal_of(head(w, n), n)
             assert compare(s.point.coord(n), before) >= 0, t
 
 

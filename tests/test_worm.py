@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +28,7 @@ from wormcalc.parsing import ParseError
 from wormcalc.worm import (
     TOP,
     Worm,
-    _rank,
+    _ranks,
     compare_worms,
     head,
     ordinal_of,
@@ -155,9 +159,83 @@ def test_parsed_and_canonical_worms_match_constructed_ones():
 
 
 def test_rank_memo_is_bounded():
-    info = _rank.cache_info()
-    # finite, and far above the 498 entries the acceptance family fills
+    info = _ranks.cache_info()
+    # finite, and far above the 341 entries the acceptance family fills
     assert info.maxsize is not None and info.maxsize >= 10_000
+
+
+def test_ranks_agree_with_the_recursive_oracle():
+    for a in samples.all_worms(5, 3):
+        assert _ranks(a.letters) == samples.recursive_ranks(a.letters), a
+    # single letters, where the oracle rebuilds every level's tower
+    for k in (*range(20), 100, 300):
+        assert _ranks((k,)) == samples.recursive_ranks((k,)), k
+
+
+@given(samples.worms(max_letter=50, max_len=12))
+@settings(max_examples=200)
+def test_ranks_agree_with_the_recursive_oracle_random(a):
+    assert _ranks(a.letters) == samples.recursive_ranks(a.letters)
+
+
+def test_single_letter_ranks_are_hyperexponentials():
+    # the worm k ranks hyperexp(k - n, 1) at each level n <= k, and 0 above
+    for k in (0, 1, 2, 7, 300):
+        assert Worm((k,)).ranks == tuple(hyperexp(k - n, ONE) for n in range(k + 1)) + (ZERO,)
+    # the same up to 5000, checked in constant stack: level k is 1, and each
+    # level below is w to the power of the very object one level up
+    for k in (1000, 5000):
+        ranks = Worm((k,)).ranks
+        assert len(ranks) == k + 2 and ranks[k:] == (ONE, ZERO)
+        assert all(ranks[n].terms == ((ranks[n + 1], 1),) for n in range(k))
+
+
+def test_single_letter_ranks_build_one_ordinal_per_level(monkeypatch):
+    # one w-power step per level, not a tower rebuilt at every level
+    built = []
+    build = Ordinal._from_checked.__func__
+
+    def counted(cls, terms):
+        built.append(terms)
+        return build(cls, terms)
+
+    _ranks.cache_clear()
+    monkeypatch.setattr(Ordinal, "_from_checked", classmethod(counted))
+    assert len(Worm((2000,)).ranks) == 2002
+    assert len(built) <= 2001
+
+
+# deep worms and (level-0 term count, its leading coefficient, levels);
+# equal blocks must share one value, or adding them compares two towers
+DEEP_WORMS = [
+    ((0, 1000) * 20, (2, 20, 1002)),
+    ((0, 1000, 1000) * 20, (2, 20, 1002)),
+    ((700, 0, 700), (1, 2, 702)),
+    (tuple(range(1, 992)), (1, 1, 993)),
+    ((5000,), (1, 1, 5002)),
+]
+
+
+def test_ranks_take_constant_stack():
+    # every rank, and ordinal_of from a cleared memo, in a process whose
+    # recursion limit is far below the worms' letters
+    script = f"""
+import sys
+sys.setrecursionlimit(200)
+from wormcalc.worm import Worm, _ranks, ordinal_of
+for letters, _ in {DEEP_WORMS!r}:
+    ranks = Worm(letters).ranks
+    _ranks.cache_clear()
+    x = ordinal_of(Worm(letters))
+    print(len(x.terms), x.terms[0][1], len(ranks))
+"""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [" ".join(map(str, shape)) for _, shape in DEEP_WORMS]
 
 
 def test_constructor_refuses_ill_typed_letters():
