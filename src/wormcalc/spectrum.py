@@ -25,7 +25,7 @@ from .ordinal import (
     ZERO, add, compare, from_int, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
 from .parsing import are_numerals, is_natural
-from .worm import Worm, _ranks, _worm_of, parse_worm, print_worm
+from .worm import Worm, _worm_of, ordinal_of, parse_worm, print_worm
 
 __all__ = [
     "TheoryPresentation",
@@ -189,9 +189,9 @@ def normalize(t: TheoryPresentation) -> Spectrum:
     """
     coords = []
     for n, w in t.entries:
-        ranks = _ranks(w.letters)
-        if n < len(ranks) and ranks[n].terms:
-            coords += [ZERO] * (n - len(coords)) + [ranks[n]]
+        x = ordinal_of(w, n)
+        if x.terms:
+            coords += [ZERO] * (n - len(coords)) + [x]
     for n in range(len(coords) - 2, -1, -1):
         if compare(coords[n + 1], last_exponent(coords[n])) > 0:
             coords[n] = add(coords[n], omega_power(coords[n + 1]))

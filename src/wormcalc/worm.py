@@ -11,7 +11,9 @@ A worm's ranks at all levels form one table, taken in one sweep from the
 top letter down and memoized per letter tuple: going down a level costs one
 w-power step, o(up A) = -1 + w^o(A), not a new tower, and nothing
 recurses: the one-letter worm k builds k ordinals, and every worm ranks in
-constant stack.
+constant stack. The steps are memoized by value across worms, so equal
+blocks, in one worm or in two, rank to values that share their exponents
+and compare without descending the towers.
 """
 
 from __future__ import annotations
@@ -105,10 +107,11 @@ def remainder(a: Worm, n: int) -> Worm:
     return Worm._from_checked(a.letters[_cut(a.letters, _level(n)) :])
 
 
-# one entry per distinct letter tuple: normalizing the 83,130 acceptance
-# presentations fills 341 entries and a benchmark run under 140, so neither
-# evicts; the bound only keeps a long-running process from growing the memo
-# without limit
+# one entry per distinct letter tuple in `_ranks`, and per distinct stepped
+# value in `_step`: normalizing the 83,130 acceptance presentations fills
+# 341 and 50 entries, and a benchmark run under 140 and 40, so neither
+# evicts; the bound only keeps a long-running process from growing the
+# memos without limit
 _RANK_MEMO_SIZE = 1 << 14
 
 
@@ -122,9 +125,7 @@ def _ranks(letters: tuple[int, ...]) -> tuple[Ordinal, ...]:
     # rank(right) + 1 + rank(left). A run that meets no letter n owes one
     # step x -> w^x per level (o(up A) = -1 + w^o(A)), paid only when it is
     # next read; the run at position 0 is read at every level, and its value
-    # there is that level's rank. Equal runs share one record, so equal
-    # values are one object and `add` compares their keys by identity
-    # instead of descending two towers.
+    # there is that level's rank.
     top = max(letters, default=-1) + 1
     at: dict[int, list[int]] = {}
     for i, letter in enumerate(letters):
@@ -134,19 +135,12 @@ def _ranks(letters: tuple[int, ...]) -> tuple[Ordinal, ...]:
     empty = [0, ZERO]  # the empty run: 0 at every level, never stepped
     ranks = [ZERO]
     for n in range(top - 1, -1, -1):
-        # joins made at this level, keyed by the identities of their parts,
-        # which the entries keep alive
-        joined: dict = {}
         for i in at.get(n, ()):
             # a run that meets i from the left ends at i - 1, and one from
             # the right starts at i + 1
             start, left = ends.pop(i - 1, (i, empty))
             end, right = ends.pop(i + 1, (i, empty))
-            key = (id(left), id(right))
-            if key not in joined:
-                value = add(add(_read(right, n), ONE), _read(left, n))
-                joined[key] = (left, right, [n, value])
-            run = joined[key][2]
+            run = [n, add(add(_read(right, n), ONE), _read(left, n))]
             ends[start], ends[end] = (end, run), (start, run)
         ranks.append(_read(ends[0][1], n) if 0 in ends else ZERO)
     return tuple(reversed(ranks))
@@ -156,8 +150,19 @@ def _read(run: list, n: int) -> Ordinal:
     # a run's value at level n, paying the steps it owes
     while run[0] > n:
         run[0] -= 1
-        run[1] = omega_power(run[1])
+        run[1] = _step(run[1])
     return run[1]
+
+
+@lru_cache(maxsize=_RANK_MEMO_SIZE)
+def _step(x: Ordinal) -> Ordinal:
+    # w^x, built once per value of x by any sweep of any worm. Only a step
+    # makes a new exponent (a join only adds terms it is given), so equal
+    # values hold one object per exponent: telling them apart, in this
+    # memo, in `add` or in `compare`, meets the exponents' keys by identity
+    # and never descends two towers, and equal blocks in different worms
+    # step to one object
+    return omega_power(x)
 
 
 def ordinal_of(a: Worm, level: int = 0) -> Ordinal:

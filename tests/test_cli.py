@@ -223,6 +223,8 @@ def test_deep_inputs_exit_2(capsys):
     # ranks take no stack per level; printing a tower 600 high still fits
     code, out, err = run(capsys, "o", ".".join(map(str, range(1, 601))))
     assert (code, out.count("\n"), err) == (0, 0, "")
+    # the two ranks share the tower w^E, so comparing w^E with w^E + 1 stops there
+    assert run(capsys, "compare", "1000", "0.1000") == (0, "Less", "")
     # nesting past the recursion limit is refused, never a traceback with exit 1
     for argv in (
         ("spectrum", '{"entries":{"1200":"1200"}}'),

@@ -65,10 +65,10 @@ def test_exports_are_defined_and_reexports_are_exported():
             assert sorted(alias.name for alias in node.names if alias.name not in names) == [], node.module
 
 
-# spectrum's letter-level fast path reads worm's rank table and canonical
-# letters straight from the letter tuples, without building a Worm; the
-# head cut stays inside worm.py
-SIBLING_PRIVATE_IMPORTS = {("spectrum", "worm", name) for name in ("_ranks", "_worm_of")}
+# spectrum reads a point's canonical worm letters straight from worm's
+# letter-level inverse, and JSON output never builds a Worm from them; the
+# rank table and the head cut stay inside worm.py
+SIBLING_PRIVATE_IMPORTS = {("spectrum", "worm", "_worm_of")}
 
 
 def test_modules_share_no_private_names_and_one_numeral_rule():

@@ -29,6 +29,7 @@ from wormcalc.worm import (
     TOP,
     Worm,
     _ranks,
+    _step,
     compare_worms,
     head,
     ordinal_of,
@@ -159,9 +160,10 @@ def test_parsed_and_canonical_worms_match_constructed_ones():
 
 
 def test_rank_memo_is_bounded():
-    info = _ranks.cache_info()
-    # finite, and far above the 341 entries the acceptance family fills
-    assert info.maxsize is not None and info.maxsize >= 10_000
+    # finite, and far above the 341 and 50 entries the acceptance family fills
+    for memo in (_ranks, _step):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.maxsize >= 10_000
 
 
 def test_ranks_agree_with_the_recursive_oracle():
@@ -200,6 +202,7 @@ def test_single_letter_ranks_build_one_ordinal_per_level(monkeypatch):
         return build(cls, terms)
 
     _ranks.cache_clear()
+    _step.cache_clear()
     monkeypatch.setattr(Ordinal, "_from_checked", classmethod(counted))
     assert len(Worm((2000,)).ranks) == 2002
     assert len(built) <= 2001
@@ -222,12 +225,22 @@ def test_ranks_take_constant_stack():
     script = f"""
 import sys
 sys.setrecursionlimit(200)
-from wormcalc.worm import Worm, _ranks, ordinal_of
+from wormcalc.worm import Worm, _ranks, _step, ordinal_of
 for letters, _ in {DEEP_WORMS!r}:
     ranks = Worm(letters).ranks
     _ranks.cache_clear()
+    _step.cache_clear()
     x = ordinal_of(Worm(letters))
     print(len(x.terms), x.terms[0][1], len(ranks))
+# equal blocks share one value across worms too, even once the rank memo
+# is cleared between them, so these compare w^E with w^E + 1 by identity
+from wormcalc.ignatiev import forces_worm, min_point_for_worm
+from wormcalc.worm import compare_worms
+a = Worm((1000,))
+a.ranks
+_ranks.cache_clear()
+b = Worm((0, 1000))
+print(compare_worms(a, b), compare_worms(b, a), forces_worm(min_point_for_worm(a), b))
 """
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -235,7 +248,7 @@ for letters, _ in {DEEP_WORMS!r}:
         [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == [" ".join(map(str, shape)) for _, shape in DEEP_WORMS]
+    assert proc.stdout.splitlines() == [" ".join(map(str, shape)) for _, shape in DEEP_WORMS] + ["-1 1 False"]
 
 
 def test_constructor_refuses_ill_typed_letters():
