@@ -15,6 +15,11 @@ formula at each further world costs O(1), since points and formulas carry
 the hash taken when they were built, and the vectors live as long as the
 model.
 
+`least_world` is the model's join: the coordinatewise least world at or
+above any finite list of ordinals. `spectrum.normalize` places a
+presentation with it, and the test suite's symbolic evaluator on the full
+model decides satisfiability with it.
+
 A fragment is enumerated on universe positions: one table, built once,
 gives the position of each element's last exponent, so the walk makes no
 ordinal comparison, and worlds canonical by construction skip the
@@ -36,7 +41,9 @@ from itertools import accumulate, zip_longest
 from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
-from .ordinal import ZERO, Ordinal, compare, last_exponent, parse_ordinal, print_ordinal
+from .ordinal import (
+    ZERO, Ordinal, add, compare, last_exponent, omega_power, parse_ordinal, print_ordinal
+)
 from .parsing import ParseError, is_natural
 from .worm import Worm
 
@@ -48,6 +55,7 @@ __all__ = [
     "first_violation",
     "is_valid_point",
     "valid_point",
+    "least_world",
     "min_point_for_worm",
     "forces_worm",
     "FiniteSubmodel",
@@ -181,6 +189,28 @@ def valid_point(coords: Sequence[Ordinal]) -> Point:
     return Point.of(coords)
 
 
+def least_world(coords: Sequence[Ordinal]) -> Point:
+    """The coordinatewise least world at or above coords.
+
+    Trailing zeros are trimmed, then one top-down pass restores the world
+    condition: where alpha_{n+1} exceeds the last exponent of alpha_n, the
+    least ordinal at or above alpha_n whose last exponent reaches
+    alpha_{n+1} is alpha_n + w^alpha_{n+1}. The step changes only alpha_n,
+    and its new last exponent is alpha_{n+1}, so the condition then holds
+    at n and at every level above: one pass suffices. Like `add` and
+    `compare`, it does not check its arguments, but it reads every
+    coordinate's terms, so a non-Ordinal raises instead of making a point.
+    """
+    coords = list(coords)
+    while coords and not coords[-1].terms:
+        coords.pop()
+    for n in range(len(coords) - 2, -1, -1):
+        if compare(coords[n + 1], last_exponent(coords[n])) > 0:
+            coords[n] = add(coords[n], omega_power(coords[n + 1]))
+    # the top coordinate is nonzero, so the point is canonical as it stands
+    return Point._from_checked(tuple(coords) or (ZERO,))
+
+
 def min_point_for_worm(a: Worm) -> Point:
     """The world whose n-th coordinate is the worm's level-n rank.
 
@@ -235,23 +265,18 @@ class FiniteSubmodel:
             raise UniverseError(f"max index {max_index!r} must be a natural number")
         if not all(isinstance(u, Ordinal) for u in universe):
             raise TypeError("universe elements must be Ordinals")
-        # the elements deduplicated and sorted by their order keys; the key of
-        # an element's last exponent is the one its own key ends with
+        # the elements deduplicated and sorted by their order keys
         by_key = {u._key: u for u in universe}
-        keys = sorted(by_key)
-        if not keys or keys[0]:
+        self.universe: tuple[Ordinal, ...] = tuple([by_key[key] for key in sorted(by_key)])
+        if not self.universe or self.universe[0].terms:
             raise UniverseError("universe must contain 0")
-        position = {key: k for k, key in enumerate(keys)}
-        below = []  # the position of each element's last exponent
-        for key in keys:
-            k = position.get(key[-2] if key else ())
-            if k is None:
-                missing = last_exponent(by_key[key])
-                raise UniverseError(
-                    f"universe is not closed under last exponents: missing {missing}"
-                )
-            below.append(k)
-        self.universe: tuple[Ordinal, ...] = tuple([by_key[key] for key in keys])
+        # the position of each element's last exponent, None where it is missing
+        position = {u: k for k, u in enumerate(self.universe)}
+        exponents = [last_exponent(u) for u in self.universe]
+        below = [position.get(e) for e in exponents]
+        if None in below:
+            missing = exponents[below.index(None)]
+            raise UniverseError(f"universe is not closed under last exponents: missing {missing}")
         self.max_index = max_index
         self.worlds, spans = self._generate(below)
         # the relations from the deepest support up have no edge: they share
@@ -268,7 +293,7 @@ class FiniteSubmodel:
         # universe ascends from 0 without repeats, so it is one iff its top
         # element is the natural len - 1
         top = self.universe[-1]
-        self.witness_complete = top.is_finite and top.as_int() == len(keys) - 1
+        self.witness_complete = top.is_finite and top.as_int() == len(self.universe) - 1
         self._results = _RESULTS[self.witness_complete]
 
     def _generate(self, below: list[int]) -> tuple[tuple[Point, ...], tuple[tuple, ...]]:
@@ -277,22 +302,21 @@ class FiniteSubmodel:
         universe, top, make = self.universe, self.max_index, Point._from_checked
         worlds = [make((ZERO,))]
         rows = [()]  # world i's spans, for the relations below its support
-
-        def extend(prefix: tuple[Ordinal, ...], start: int, bound: int) -> None:
-            n, row, previous = len(prefix), rows[start], start
-            for k in range(1, bound + 1):  # the nonzero coordinates, ascending
-                coords = prefix + (universe[k],)
-                i = len(worlds)
-                worlds.append(make(coords))
-                rows.append(row + ((start, previous, i),))
-                if n < top and below[k]:
-                    extend(coords, i, below[k])
-                previous = i
-
-        extend((), 0, len(universe) - 1)
-        # extend reaches itself through its closure cell; clearing the cell
-        # breaks that cycle, so a dropped fragment is freed at once
-        del extend
+        # an entry stands for the child P+(universe[k],) of a prefix P: P, the
+        # position of P, of the previous sibling (or P), k, and the last
+        # position P's children reach. The next sibling is pushed before the
+        # child, so the child's subtree comes out first
+        stack = [((), 0, 0, 1, len(universe) - 1)] if len(universe) > 1 else []
+        while stack:
+            prefix, start, previous, k, bound = stack.pop()
+            coords = prefix + (universe[k],)
+            i = len(worlds)
+            worlds.append(make(coords))
+            rows.append(rows[start] + ((start, previous, i),))
+            if k < bound:
+                stack.append((prefix, start, i, k + 1, bound))
+            if len(prefix) < top and below[k]:
+                stack.append((coords, i, i, 1, below[k]))
         return tuple(worlds), tuple(zip_longest(*rows, fillvalue=(0, 0, 0)))
 
     def _position(self, p: Point) -> int:

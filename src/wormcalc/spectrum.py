@@ -5,9 +5,8 @@ progression over the fixed base theory; absent levels mean the stage-0
 progression, i.e. the base itself. Normalization collapses any presentation
 to the unique world of the universal model whose coordinates are the
 per-level proof-theoretic ordinals of the presented theory. It ranks each
-stored worm at its level and then restores the world condition
-alpha_{n+1} <= l(alpha_n), where l is the last exponent, in one top-down
-pass over the coordinates.
+stored worm at its level and takes the least world at or above those
+ranks, `ignatiev.least_world`.
 
 Conservation between two theories reads off directly: the largest level at
 which the two points still agree.
@@ -17,13 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import itemgetter
 from typing import Mapping, Union
 
-from .ignatiev import Point, min_point_for_worm, print_point, valid_point
-from .ordinal import (
-    ZERO, add, compare, from_int, last_exponent, omega_power, parse_ordinal, print_ordinal
-)
+from .ignatiev import Point, least_world, min_point_for_worm, print_point, valid_point
+from .ordinal import ZERO, from_int, omega_power, parse_ordinal, print_ordinal
 from .parsing import are_numerals, is_natural
 from .worm import Worm, _worm_of, ordinal_of, parse_worm, print_worm
 
@@ -177,26 +175,18 @@ def spectrum_of_worm(a: Worm) -> Spectrum:
 def normalize(t: TheoryPresentation) -> Spectrum:
     """Collapse a presentation to its unique point of the universal model.
 
-    Coordinate n starts as the rank of the stored level-n worm (a level-n
-    progression only sees that worm's level-n head). A top-down pass then
-    restores the world condition: where alpha_{n+1} exceeds the last
-    exponent of alpha_n, the union of both progressions has as coordinate n
-    the least ordinal at or above alpha_n whose last exponent reaches
-    alpha_{n+1}, namely alpha_n + w^alpha_{n+1}. The step changes only
-    alpha_n, and its new last exponent is alpha_{n+1}, so the condition
-    then holds at n and at every level above: one pass suffices. Levels
-    above the highest nonzero rank are never visited.
+    Coordinate n is first the rank of the stored level-n worm (a level-n
+    progression only sees that worm's level-n head). The union of the
+    progressions is the least world at or above those ranks, which
+    `least_world` takes. Levels above the highest nonzero rank are never
+    visited.
     """
     coords = []
     for n, w in t.entries:
         x = ordinal_of(w, n)
         if x.terms:
             coords += [ZERO] * (n - len(coords)) + [x]
-    for n in range(len(coords) - 2, -1, -1):
-        if compare(coords[n + 1], last_exponent(coords[n])) > 0:
-            coords[n] = add(coords[n], omega_power(coords[n + 1]))
-    # the top coordinate is nonzero, so the point is canonical as it stands
-    return Spectrum(Point._from_checked(tuple(coords) or (ZERO,)))
+    return Spectrum(least_world(coords))
 
 
 @dataclass(frozen=True)
@@ -212,12 +202,8 @@ def conservation_level(p: Spectrum, q: Spectrum) -> int | str:
     'none' when already coordinate 0 differs."""
     if p.point == q.point:
         return "all"
-    support = max(p.point.support, q.point.support)
-    level = -1
-    for n in range(support):
-        if p.point.coord(n) != q.point.coord(n):
-            break
-        level = n
+    pairs = zip_longest(p.point.coords, q.point.coords, fillvalue=ZERO)
+    level = next(n for n, (a, b) in enumerate(pairs) if a != b) - 1
     return "none" if level < 0 else level
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from wormcalc.formula import (
     Bottom, Box, Diamond, Formula, Implies, Top, conj, disj, formula_of_worm, neg
 )
-from wormcalc.ignatiev import Point
+from wormcalc.ignatiev import Point, least_world
 from wormcalc.ordinal import (
     ONE, ZERO, Ordinal, add, compare, from_int, hyperexp, last_exponent, omega_power, print_ordinal
 )
@@ -475,3 +475,97 @@ def axiom_instances(worm_pool: list[Worm], max_index: int) -> list[Formula]:
                 emit(Implies(Diamond(n, phi), Box(m, Diamond(n, phi))))
 
     return instances
+
+
+# --- forcing on the full model, symbolically ------------------------------
+#
+# A conjunct {k: (lo, hi)} is the set of worlds x with lo <= x_k < hi at each
+# listed coordinate k, where hi None means no upper bound; a truth set is a
+# list of satisfiable conjuncts, their union. A conjunct is satisfiable iff
+# the least world above its lower bounds meets its upper bounds.
+
+
+def _under(x: Ordinal, hi: Ordinal | None) -> bool:
+    return hi is None or compare(x, hi) < 0
+
+
+def _least_tail(c: dict, n: int = 0) -> Point | None:
+    """The least world meeting c's lower bounds at levels n and up, read as
+    a world from level n on; None when it breaks one of c's upper bounds."""
+    top = max(c, default=-1) + 1
+    tail = least_world([c[k][0] if k in c else ZERO for k in range(n, top)])
+    if all(_under(tail.coord(k - n), hi) for k, (_, hi) in c.items() if k >= n):
+        return tail
+    return None
+
+
+def _satisfiable(conjuncts: list[dict]) -> list[dict]:
+    """The satisfiable ones among the conjuncts, each once."""
+    kept = {tuple(sorted(c.items())): c for c in conjuncts if _least_tail(c) is not None}
+    return list(kept.values())
+
+
+def _meet(c: dict, d: dict) -> dict:
+    out = dict(c)
+    for k, (lo, hi) in d.items():
+        lo0, hi0 = out.get(k, (ZERO, None))
+        out[k] = (
+            lo if compare(lo, lo0) > 0 else lo0,
+            hi0 if hi is None or not _under(hi, hi0) else hi,
+        )
+    return out
+
+
+def _negate(conjuncts: list[dict]) -> list[dict]:
+    out = [{}]
+    for c in conjuncts:
+        outside = [{k: (ZERO, lo)} for k, (lo, _) in c.items() if lo.terms]
+        outside += [{k: (hi, None)} for k, (_, hi) in c.items() if hi is not None]
+        out = _satisfiable([_meet(a, b) for a in out for b in outside])
+    return out
+
+
+def _diamond(n: int, conjuncts: list[dict]) -> list[dict]:
+    """<n>C: x R_n y iff y agrees with x below n and y_n < x_n, so x needs C's
+    bounds below n and x_n above coordinate n of C's least tail from n."""
+    out = []
+    for c in conjuncts:
+        tail = _least_tail(c, n)
+        if tail is not None:
+            d = {k: bounds for k, bounds in c.items() if k < n}
+            d[n] = (add(tail.coord(0), ONE), None)
+            out.append(d)
+    return _satisfiable(out)
+
+
+def truth_set(f: Formula) -> list[dict]:
+    """The worlds of the full universal model forcing a closed formula, as a
+    union of conjuncts. An oracle for the fragment evaluator `forces` on
+    exact fragments, for `forces_worm` anywhere, and for theoremhood."""
+    match f:
+        case Top():
+            return [{}]
+        case Bottom():
+            return []
+        case Implies(left=left, right=right):
+            return _negate(truth_set(left)) + truth_set(right)
+        case Diamond(index=n, body=body):
+            return _diamond(n, truth_set(body))
+        case Box(index=n, body=body):
+            return _negate(_diamond(n, _negate(truth_set(body))))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def in_truth_set(conjuncts: list[dict], p: Point) -> bool:
+    """The world p meets some conjunct, so the formula they are the truth
+    set of is forced at p."""
+    return any(
+        all(compare(lo, p.coord(k)) <= 0 and _under(p.coord(k), hi) for k, (lo, hi) in c.items())
+        for c in conjuncts
+    )
+
+
+def is_theorem(f: Formula) -> bool:
+    """f holds at every world of the full model, so, by Ignatiev's
+    completeness theorem, it is a theorem of the closed fragment of GLP."""
+    return not _negate(truth_set(f))

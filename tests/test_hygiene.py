@@ -1,8 +1,10 @@
 """Source-level guards: tests that cannot shadow each other, a package
 that imports nothing outside the standard library, exports that name what
-the modules define, and modules that share no private names."""
+the modules define, modules that share no private names, and formats that
+one module alone decodes."""
 
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -82,3 +84,16 @@ def test_modules_share_no_private_names_and_one_numeral_rule():
                 assert private <= SIBLING_PRIVATE_IMPORTS, private
         # the text rule for numerals lives in parsing.py alone
         assert "isdigit(" not in text or path.name == "parsing.py", path.name
+
+
+def test_unchecked_points_and_order_keys_stay_in_their_modules():
+    # only ignatiev.py builds a point past its check, and only ordinal.py
+    # knows what the items of an order key are
+    sources = sorted((ROOT / "src" / "wormcalc").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in sources:
+        if path.name == Path(__file__).name:
+            continue
+        text = path.read_text(encoding="utf-8")
+        assert "Point._from_checked" not in text or path.name == "ignatiev.py", path.name
+        subscripts = re.findall(r"\b_key\[|\bkey\[-", text)
+        assert subscripts == [] or path.name == "ordinal.py", (path.name, subscripts)

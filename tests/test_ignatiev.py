@@ -31,6 +31,7 @@ from wormcalc.ignatiev import (
     forces,
     forces_worm,
     is_valid_point,
+    least_world,
     min_point_for_worm,
     parse_coords,
     parse_point,
@@ -38,7 +39,7 @@ from wormcalc.ignatiev import (
     render_dot,
     validity_check,
 )
-from wormcalc.ordinal import ZERO, compare, from_int, last_exponent, omega_power, parse_ordinal
+from wormcalc.ordinal import ONE, ZERO, compare, from_int, last_exponent, omega_power, parse_ordinal
 from wormcalc.worm import TOP, Worm, head, ordinal_of, parse_worm, remainder
 
 W = parse_ordinal("w")
@@ -125,6 +126,76 @@ def test_min_point_examples():
 def test_min_point_always_valid():
     for a in samples.all_worms(5, 3):
         assert is_valid_point(min_point_for_worm(a))
+
+
+# the 13 worlds over {0, 1, 2, 3, w, w+1, w^w} with max index 3
+BRANCHING = enumerate_submodel(
+    [from_int(i) for i in range(4)] + [W, parse_ordinal("w+1"), W_TO_W], 3
+)
+
+
+def test_least_world_keeps_worlds_and_trims():
+    assert len(BRANCHING.worlds) == 13
+    for p in BRANCHING.worlds + enumerate_submodel(finite_universe(5), 2).worlds:
+        assert least_world(p.coords) == p
+    assert least_world([ONE, ZERO]) == Point.of([ONE])
+    assert least_world([]) == Point.of([ZERO])
+    assert least_world([ZERO, ONE]) == Point.of([W, ONE])
+    with pytest.raises(AttributeError):
+        least_world([ONE, 1])
+
+
+def test_least_world_is_the_least_world_above():
+    # every triple over a universe closed under last exponents; the worlds of
+    # its fragment are the candidates, compared by universe position
+    universe = [
+        parse_ordinal(text)
+        for text in "0 1 2 3 w w+1 w*2 w^2 w^2+w w^3 w^w w^w+1 w^(w+1) w^(w*2) w^w^w".split()
+    ]
+    m = enumerate_submodel(universe, 2)
+    position = {u: k for k, u in enumerate(m.universe)}
+    padded = [tuple(position[p.coord(n)] for n in range(3)) for p in m.worlds]
+    compared = 0
+    for coords in itertools.product(m.universe, repeat=3):
+        p = least_world(coords)
+        assert is_valid_point(p) and p.support <= 3, coords
+        assert all(compare(c, p.coord(n)) <= 0 for n, c in enumerate(coords)), coords
+        low = tuple(position[c] for c in coords)
+        for q, at in zip(m.worlds, padded):
+            if all(a >= b for a, b in zip(at, low)):
+                compared += 1
+                assert all(compare(p.coord(n), q.coord(n)) <= 0 for n in range(3)), (coords, q)
+    assert compared > len(m.universe) ** 3
+
+
+def test_full_model_forcing_agrees_with_forces_worm():
+    # the symbolic evaluator against the rank criterion, at worlds off the chains
+    for a in samples.all_worms(4, 3):
+        truth = samples.truth_set(formula_of_worm(a))
+        for p in BRANCHING.worlds:
+            assert samples.in_truth_set(truth, p) == forces_worm(p, a), (p, a)
+
+
+def test_full_model_forcing_agrees_with_exact_fragments():
+    rng = random.Random(17)
+    models = [enumerate_submodel(finite_universe(k), 2) for k in (3, 6)]
+    for _ in range(200):
+        f = random_formula(rng, 4, 2)
+        truth = samples.truth_set(f)
+        for m in models:
+            for p in m.worlds:
+                assert samples.in_truth_set(truth, p) == forces(m, p, f).value, (p, f)
+
+
+def test_full_model_validity():
+    # every axiom instance is a theorem; [1]F holds on every world of finite:3
+    # but fails at <w, 1>, so it is none
+    for f in axiom_instances(samples.all_worms(2, 1), 2):
+        assert samples.is_theorem(f), f
+    never = parse_formula("[1]F")
+    assert validity_check(never, enumerate_submodel(finite_universe(3), 1)).value
+    assert not samples.is_theorem(never)
+    assert not samples.in_truth_set(samples.truth_set(never), Point.of([W, ONE]))
 
 
 def test_forces_worm_examples():

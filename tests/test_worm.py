@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 import samples
 from samples import concat, in_worms, promote
+from wormcalc.formula import Diamond, Implies, formula_of_worm
 from wormcalc.ordinal import (
     OMEGA,
     ONE,
@@ -299,6 +300,16 @@ def test_order_isomorphism_shadow_small():
     distinct = sorted(fibers, key=cmp_to_key(compare))
     for i in range(len(distinct) - 1):
         assert compare(distinct[i], distinct[i + 1]) == -1
+
+
+def test_worm_orders_agree_with_provability_on_the_full_model():
+    # A <_n B iff B -> <n>A is a theorem, decided by the symbolic evaluator
+    pool = samples.all_worms(3, 2)
+    for n in range(3):
+        level = [a for a in pool if in_worms(a, n)]
+        for a, b in itertools.product(level, repeat=2):
+            f = Implies(formula_of_worm(b), Diamond(n, formula_of_worm(a)))
+            assert samples.is_theorem(f) == (compare_worms(a, b, n) < 0), (a, b, n)
 
 
 def test_promotion_law():
