@@ -12,7 +12,6 @@ from .formula import (
     Formula,
     Implies,
     Top,
-    as_worm,
     formula_of_worm,
     parse_formula,
     print_formula,
@@ -54,7 +53,6 @@ from .spectrum import (
     conservation_level,
     normalize,
     registry,
-    spectrum_of_worm,
 )
 from .worm import (
     TOP,

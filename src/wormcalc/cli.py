@@ -15,7 +15,7 @@ import sys
 from . import formula as fm
 from . import ignatiev as ig
 from . import spectrum as sp
-from .ordinal import ZERO, from_int, last_exponent, parse_ordinal, print_ordinal
+from .ordinal import from_int, parse_ordinal, print_ordinal
 from .parsing import Cursor, ParseError
 from .worm import compare_worms, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
 
@@ -57,14 +57,8 @@ def _parse_universe(text: str) -> list:
         k = cur.numeral("indices")
         cur.expect_end()
         return [from_int(i) for i in range(k + 1)]
-    # close under last exponents: follow each element's chain down until it
-    # meets the set, which holds 0, the chain's end
-    universe = {ZERO}
-    for x in [parse_ordinal(part) for part in text.split(",")]:
-        while x not in universe:
-            universe.add(x)
-            x = last_exponent(x)
-    return list(universe)
+    # the submodel closes the list under last exponents
+    return [parse_ordinal(part) for part in text.split(",")]
 
 
 def _spectrum_payload(s: sp.Spectrum, args) -> tuple[str, dict]:
@@ -310,9 +304,12 @@ def _evaluation_model(args, needed_index: int) -> ig.FiniteSubmodel:
     return ig.enumerate_submodel(_parse_universe(args.universe), max_index)
 
 
-def _report(args, result: ig.ForcingResult) -> int:
+_FRAGMENT_RELATIVE = "note: fragment-relative answer (universe is not witness-complete)"
+
+
+def _report(args, result: ig.ForcingResult, note: str = _FRAGMENT_RELATIVE) -> int:
     if not result.exact:
-        print("note: fragment-relative answer (universe is not witness-complete)", file=sys.stderr)
+        print(note, file=sys.stderr)
     _emit(args, "true" if result.value else "false", {"value": result.value, "exact": result.exact})
     return 0 if result.value else 1
 
@@ -320,14 +317,20 @@ def _report(args, result: ig.ForcingResult) -> int:
 def _cmd_forces(args) -> int:
     point = ig.parse_point(args.point)
     f = fm.parse_formula(args.formula)
-    model = _evaluation_model(args, max(fm.max_modality(f), point.support - 1))
+    model = _evaluation_model(args, max(fm.max_modality(f), len(point.coords) - 1))
     return _report(args, ig.forces(model, point, f))
 
 
 def _cmd_valid(args) -> int:
     f = fm.parse_formula(args.formula)
     model = _evaluation_model(args, fm.max_modality(f))
-    return _report(args, ig.validity_check(f, model))
+    result = ig.validity_check(f, model)
+    if result.value and result.exact:
+        # the fragment holds only some worlds of the full model, so truth at
+        # all of them is necessary for validity but not sufficient
+        note = "note: true at every world of the fragment, a necessary condition for validity only"
+        return _report(args, ig.ForcingResult(True, False), note)
+    return _report(args, result)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ __all__ = [
     "neg",
     "conj",
     "disj",
-    "as_worm",
     "formula_of_worm",
     "max_modality",
     "parse_formula",
@@ -138,15 +137,6 @@ def disj(f: Formula, g: Formula) -> Formula:
     return Implies(neg(f), g)
 
 
-def as_worm(f: Formula) -> Worm | None:
-    """The index string when f is a diamond nest ending in truth, else None."""
-    letters = []
-    while isinstance(f, Diamond):
-        letters.append(f.index)
-        f = f.body
-    return Worm(tuple(letters)) if isinstance(f, Top) else None
-
-
 def formula_of_worm(a: Worm) -> Formula:
     f: Formula = Top()
     for letter in reversed(a.letters):
@@ -155,14 +145,17 @@ def formula_of_worm(a: Worm) -> Formula:
 
 
 def max_modality(f: Formula) -> int:
-    """Largest box/diamond index occurring in f; -1 when purely propositional."""
-    match f:
-        case Box(index=n, body=b) | Diamond(index=n, body=b):
-            return max(n, max_modality(b))
-        case Implies(left=l, right=r):
-            return max(max_modality(l), max_modality(r))
-        case _:
-            return -1
+    """Largest box/diamond index occurring in f; -1 when purely propositional.
+    The parts still to visit wait on a stack, so any depth takes constant stack."""
+    top, pending = -1, [f]
+    while pending:
+        match pending.pop():
+            case Box(index=n, body=b) | Diamond(index=n, body=b):
+                top = max(top, n)
+                pending.append(b)
+            case Implies(left=l, right=r):
+                pending += (l, r)
+    return top
 
 
 # --- text form ---------------------------------------------------------

@@ -109,9 +109,8 @@ class Point:
         """A point of coordinates already known to be canonical Ordinals,
         built without running __post_init__'s check again."""
         point = object.__new__(cls)
-        fields = point.__dict__  # cheaper than object.__setattr__ past the frozen guard
-        fields["coords"] = coords
-        fields["_hash"] = hash(coords)
+        object.__setattr__(point, "coords", coords)
+        object.__setattr__(point, "_hash", hash(coords))
         return point
 
     def __hash__(self) -> int:
@@ -131,10 +130,6 @@ class Point:
         if not is_natural(n):
             raise ValueError(f"coordinate {n!r} must be a natural number")
         return self.coords[n] if n < len(self.coords) else ZERO
-
-    @property
-    def support(self) -> int:
-        return len(self.coords)
 
     def __str__(self) -> str:
         return print_point(self)
@@ -242,7 +237,11 @@ class FiniteSubmodel:
 
     Worlds are every valid point with support at most max_index + 1 and all
     coordinates drawn from the universe; edges are the full relations
-    restricted to those worlds. Immutable after construction.
+    restricted to those worlds. Immutable after construction. The universe
+    is the closure of the given elements under last exponents: a coordinate
+    is bounded by the last exponent of the one before it, so each element
+    brings its chain of last exponents down to 0. Any nonempty list of
+    Ordinals is a universe.
 
     `worlds` is in lexicographic coordinate order: the root, then a
     depth-first walk that puts each prefix P before its subtree. The walk
@@ -265,18 +264,20 @@ class FiniteSubmodel:
             raise UniverseError(f"max index {max_index!r} must be a natural number")
         if not all(isinstance(u, Ordinal) for u in universe):
             raise TypeError("universe elements must be Ordinals")
-        # the elements deduplicated and sorted by their order keys
-        by_key = {u._key: u for u in universe}
-        self.universe: tuple[Ordinal, ...] = tuple([by_key[key] for key in sorted(by_key)])
-        if not self.universe or self.universe[0].terms:
-            raise UniverseError("universe must contain 0")
-        # the position of each element's last exponent, None where it is missing
-        position = {u: k for k, u in enumerate(self.universe)}
-        exponents = [last_exponent(u) for u in self.universe]
-        below = [position.get(e) for e in exponents]
-        if None in below:
-            missing = exponents[below.index(None)]
-            raise UniverseError(f"universe is not closed under last exponents: missing {missing}")
+        if not universe:
+            raise UniverseError("universe is empty")
+        # the elements and their last-exponent chains down to 0, whose last
+        # exponent is 0 again, deduplicated by order key
+        by_key = {}
+        for u in universe:
+            while u._key not in by_key:
+                by_key[u._key] = u
+                u = last_exponent(u)
+        keys = sorted(by_key)
+        self.universe: tuple[Ordinal, ...] = tuple([by_key[key] for key in keys])
+        # the position of each element's last exponent
+        position = {key: k for k, key in enumerate(keys)}
+        below = [position[last_exponent(u)._key] for u in self.universe]
         self.max_index = max_index
         self.worlds, spans = self._generate(below)
         # the relations from the deepest support up have no edge: they share

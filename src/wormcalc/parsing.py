@@ -62,9 +62,6 @@ class Cursor:
     def at_digit(self) -> bool:
         return self.peek() in _ASCII_DIGITS
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -107,5 +104,5 @@ class Cursor:
         return ParseError(message, self.pos)
 
     def expect_end(self) -> None:
-        if not self.at_end():
+        if self.pos < len(self.text):
             raise ParseError(f"unexpected trailing input {self.text[self.pos:]!r}", self.pos)

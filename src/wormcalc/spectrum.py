@@ -20,16 +20,15 @@ from itertools import zip_longest
 from operator import itemgetter
 from typing import Mapping, Union
 
-from .ignatiev import Point, least_world, min_point_for_worm, print_point, valid_point
+from .ignatiev import Point, least_world, print_point, valid_point
 from .ordinal import ZERO, from_int, omega_power, parse_ordinal, print_ordinal
 from .parsing import are_numerals, is_natural
-from .worm import Worm, _worm_of, ordinal_of, parse_worm, print_worm
+from .worm import Worm, _worm_of, ordinal_of, parse_worm, print_worm, worm_of_ordinal
 
 __all__ = [
     "TheoryPresentation",
     "Spectrum",
     "LimitTheory",
-    "spectrum_of_worm",
     "normalize",
     "conservation_level",
     "describe_conservation",
@@ -134,8 +133,7 @@ class Spectrum:
 
     @property
     def worms(self) -> tuple[Worm, ...]:
-        coords = enumerate(self.point.coords)
-        return tuple(Worm._from_checked(_worm_of(c, n)) for n, c in coords)
+        return tuple(worm_of_ordinal(c, n) for n, c in enumerate(self.point.coords))
 
     def as_presentation(self, name: str | None = None) -> TheoryPresentation:
         return TheoryPresentation.of(
@@ -161,15 +159,6 @@ class Spectrum:
 
     def __repr__(self):
         return f"Spectrum({print_point(self.point)})"
-
-
-def spectrum_of_worm(a: Worm) -> Spectrum:
-    """The spectrum of the theory axiomatized by a single worm statement.
-
-    Such a theory is the union of its progressions at every level, so its
-    point is the minimal world forcing the worm.
-    """
-    return Spectrum.of_point(min_point_for_worm(a))
 
 
 def normalize(t: TheoryPresentation) -> Spectrum:

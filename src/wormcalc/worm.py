@@ -54,10 +54,6 @@ class Worm:
         object.__setattr__(worm, "letters", letters)
         return worm
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
     @cached_property
     def ranks(self) -> tuple[Ordinal, ...]:
         """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
@@ -68,9 +64,6 @@ class Worm:
         letters.
         """
         return _ranks(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __str__(self) -> str:
         return print_worm(self)

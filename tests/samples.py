@@ -396,7 +396,7 @@ def spectrum_json_oracle(s: Spectrum) -> dict:
     p = s.point
     return {
         "coords": [print_ordinal(c) for c in p.coords],
-        "worms": [print_worm(worm_of_ordinal(p.coord(n), n)) for n in range(p.support)],
+        "worms": [print_worm(worm_of_ordinal(p.coord(n), n)) for n in range(len(p.coords))],
     }
 
 
@@ -427,7 +427,7 @@ def axiom_instances(worm_pool: list[Worm], max_index: int) -> list[Formula]:
     validity fixture: every instance must hold at every world of an exactly
     evaluated submodel.
     """
-    pool = [Worm(())] + [w for w in worm_pool if not w.is_empty]
+    pool = [Worm(())] + [w for w in worm_pool if w.letters]
     seen = set()
     candidates = []
     for w in pool:

@@ -30,7 +30,6 @@ from wormcalc.spectrum import (
     describe_conservation,
     normalize,
     registry,
-    spectrum_of_worm,
 )
 from wormcalc.worm import Worm, ordinal_of, parse_worm, worm_of_ordinal
 
@@ -58,7 +57,7 @@ def test_progression_union_collapse():
 def test_fragment_theory_placements():
     isigma1 = Point.of([parse_ordinal("w^w"), parse_ordinal("w"), from_int(1)])
     pra = Point.of([parse_ordinal("w^w"), parse_ordinal("w"), ZERO])
-    assert spectrum_of_worm(parse_worm("2")).point == isigma1
+    assert min_point_for_worm(parse_worm("2")) == isigma1
     assert normalize(TheoryPresentation.of({1: parse_worm("2")})).point == pra
     named = registry()
     assert named["ISigma1"].point == isigma1

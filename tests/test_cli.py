@@ -167,6 +167,18 @@ def test_valid_subcommand(capsys):
     assert (code, out) == (1, "false")
 
 
+def test_valid_true_is_a_necessary_condition_only(capsys):
+    # [1]F holds at every world <i> of finite:3 but fails at <w, 1>
+    code, out, err = run(capsys, "valid", "--universe", "finite:3", "[1]F", "--json")
+    assert (code, json.loads(out)) == (0, {"value": True, "exact": False})
+    assert len(err.splitlines()) == 1 and "necessary condition" in err
+    code, out, err = run(capsys, "valid", "--universe", "finite:2", "<0>T", "--json")
+    assert (code, json.loads(out), err) == (1, {"value": False, "exact": True}, "")
+    code, out, err = run(capsys, "valid", "--universe", "w", "[0]T", "--json")
+    assert (code, json.loads(out)) == (0, {"value": True, "exact": False})
+    assert len(err.splitlines()) == 1 and "fragment-relative" in err
+
+
 def test_parse_errors_exit_2(capsys):
     for argv in (
         ("o", "-n", "0", "1..2"),

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,6 @@ from wormcalc.formula import (
     Diamond,
     Implies,
     Top,
-    as_worm,
     conj,
     disj,
     formula_of_worm,
@@ -22,7 +25,7 @@ from wormcalc.formula import (
     print_formula,
 )
 from wormcalc.parsing import ParseError
-from wormcalc.worm import TOP, Worm, parse_worm
+from wormcalc.worm import TOP, parse_worm, print_worm
 
 
 def test_parse_examples():
@@ -125,25 +128,34 @@ def test_separately_built_deep_chains_compare_in_constant_stack():
     assert boxes != diamonds and boxes != chain(lambda f: Box(1, f), Top())
 
 
-def test_as_worm():
-    assert as_worm(Diamond(2, Diamond(1, Top()))) == Worm((2, 1))
-    assert as_worm(Top()) == TOP
-    assert as_worm(Box(0, Top())) is None
-    assert as_worm(Diamond(0, Bottom())) is None
-    assert as_worm(Implies(Top(), Top())) is None
-
-
 def test_worm_formula_round_trip():
     for text in ["T", "2.1", "0.1.0.3"]:
         w = parse_worm(text)
         f = formula_of_worm(w)
-        assert as_worm(f) == w
+        assert print_formula(f) == print_worm(w, diamonds=True)
         assert parse_formula(print_formula(f)) == f
 
 
 def test_max_modality():
     assert max_modality(Top()) == -1
     assert max_modality(parse_formula("[3]T -> <5>F")) == 5
+
+
+def test_max_modality_takes_constant_stack():
+    # a diamond nest far deeper than the process's recursion limit
+    script = """
+import sys
+sys.setrecursionlimit(200)
+from wormcalc.formula import formula_of_worm, max_modality
+from wormcalc.worm import Worm
+print(max_modality(formula_of_worm(Worm((0,) * 4999 + (3,)))))
+"""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "3\n")
 
 
 def test_axiom_instances_examples():

@@ -87,13 +87,24 @@ def test_modules_share_no_private_names_and_one_numeral_rule():
 
 
 def test_unchecked_points_and_order_keys_stay_in_their_modules():
-    # only ignatiev.py builds a point past its check, and only ordinal.py
-    # knows what the items of an order key are
+    # only ignatiev.py builds a point past its check, only worm.py a worm,
+    # and only ordinal.py knows what the items of an order key are
     sources = sorted((ROOT / "src" / "wormcalc").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     for path in sources:
         if path.name == Path(__file__).name:
             continue
         text = path.read_text(encoding="utf-8")
         assert "Point._from_checked" not in text or path.name == "ignatiev.py", path.name
+        assert "Worm._from_checked" not in text or path.name == "worm.py", path.name
         subscripts = re.findall(r"\b_key\[|\bkey\[-", text)
         assert subscripts == [] or path.name == "ordinal.py", (path.name, subscripts)
+
+
+def test_no_instance_dict_writes():
+    # an instance's __dict__, once touched, is a real dict, and every later
+    # field read goes through it at about twice the cost; values built past
+    # their check set their fields with object.__setattr__ instead
+    for path in sorted((ROOT / "src" / "wormcalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
+        assert lines == [], (path.name, lines)

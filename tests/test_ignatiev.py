@@ -55,7 +55,7 @@ def finite_universe(k):
 def test_point_canonical_form():
     assert Point.of([from_int(1), ZERO, ZERO]) == Point.of([from_int(1)])
     assert Point.of([]) == Point.of([ZERO])
-    assert Point.of([ZERO]).support == 1
+    assert len(Point.of([ZERO]).coords) == 1
     with pytest.raises(ValueError):
         Point((from_int(1), ZERO))
     with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_least_world_is_the_least_world_above():
     compared = 0
     for coords in itertools.product(m.universe, repeat=3):
         p = least_world(coords)
-        assert is_valid_point(p) and p.support <= 3, coords
+        assert is_valid_point(p) and len(p.coords) <= 3, coords
         assert all(compare(c, p.coord(n)) <= 0 for n, c in enumerate(coords)), coords
         low = tuple(position[c] for c in coords)
         for q, at in zip(m.worlds, padded):
@@ -228,14 +228,31 @@ def test_enumerate_examples():
 
 
 def test_enumerate_rejects_bad_universe():
+    # a universe lacking 0 or a last exponent is closed, not refused
+    assert enumerate_submodel([from_int(1)], 1).universe == (ZERO, ONE)
+    w2 = parse_ordinal("w*2")
+    assert enumerate_submodel([ZERO, w2], 1).universe == (ZERO, ONE, w2)
     with pytest.raises(UniverseError):
-        enumerate_submodel([from_int(1)], 1)
-    with pytest.raises(UniverseError):
-        enumerate_submodel([ZERO, parse_ordinal("w*2")], 1)  # missing last exponent 1
+        enumerate_submodel([], 1)
     with pytest.raises(UniverseError):
         enumerate_submodel([ZERO], -1)
     with pytest.raises(TypeError):
         enumerate_submodel([ZERO, 1], 1)
+
+
+def test_submodel_closes_its_universe_under_last_exponents():
+    # a branching universe given closed, or as its top elements alone in any
+    # order, makes the same fragment
+    cases = [("0,1,w,w^w", "w^w"), ("0,1,w+1,w*2", "w*2,w+1"), ("0,3,w+1,w^(w+1)", "w^(w+1),3")]
+    for closed, tops in cases:
+        universe = [parse_ordinal(text) for text in closed.split(",")]
+        expected = FiniteSubmodel(universe, 2)
+        assert expected.universe == tuple(universe)
+        for order in itertools.permutations(parse_ordinal(text) for text in tops.split(",")):
+            m = FiniteSubmodel(list(order), 2)
+            assert m.universe == expected.universe, order
+            assert m.worlds == expected.worlds and m._spans == expected._spans, order
+            assert m.witness_complete == expected.witness_complete, order
 
 
 def test_submodel_refuses_a_max_index_that_is_not_natural():
@@ -472,7 +489,7 @@ def test_forcing_persists_upward():
     m = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
     worms = samples.all_worms(3, 2)
     for p, q in itertools.product(m.worlds, repeat=2):
-        height = max(p.support, q.support)
+        height = max(len(p.coords), len(q.coords))
         if all(compare(q.coord(n), p.coord(n)) >= 0 for n in range(height)):
             for a in worms:
                 if forces_worm(p, a):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import samples
 from samples import concat, in_worms
-from wormcalc.ignatiev import Point, is_valid_point
+from wormcalc.ignatiev import Point, is_valid_point, min_point_for_worm
 from wormcalc.ordinal import (
     ZERO,
     add,
@@ -27,7 +27,6 @@ from wormcalc.spectrum import (
     describe_conservation,
     normalize,
     registry,
-    spectrum_of_worm,
 )
 from wormcalc.worm import (
     TOP,
@@ -160,10 +159,10 @@ def test_presentation_json_builds_sorted_entries():
 
 
 def test_spectrum_of_worm_examples():
-    assert spectrum_of_worm(parse_worm("2")).point == Point.of([W_TO_W, W, from_int(1)])
-    assert spectrum_of_worm(TOP).point == Point.of([ZERO])
-    s = spectrum_of_worm(parse_worm("1.0.1"))
-    assert s.point == Point.of([parse_ordinal("w*2"), from_int(1)])
+    assert min_point_for_worm(parse_worm("2")) == Point.of([W_TO_W, W, from_int(1)])
+    assert min_point_for_worm(TOP) == Point.of([ZERO])
+    p = min_point_for_worm(parse_worm("1.0.1"))
+    assert p == Point.of([parse_ordinal("w*2"), from_int(1)])
 
 
 def test_normalize_progression_union_example():
@@ -181,7 +180,7 @@ def test_normalize_single_level_one_progression():
 
 
 def test_normalize_fixed_point():
-    s = spectrum_of_worm(parse_worm("2.1"))
+    s = Spectrum(min_point_for_worm(parse_worm("2.1")))
     again = normalize(s.as_presentation())
     assert again == s
     assert again.point == s.point
@@ -306,7 +305,7 @@ def test_normalize_matches_worm_theory():
     # the union of a worm's progressions at every level has the worm's own
     # minimal point as its spectrum
     for a in samples.all_worms(4, 3):
-        assert normalize(worm_theory(a)).point == spectrum_of_worm(a).point, a
+        assert normalize(worm_theory(a)).point == min_point_for_worm(a), a
 
 
 def test_single_entry_level_drop():
@@ -328,7 +327,7 @@ def test_rewrite_is_minimal_upper_bound():
     candidates = samples.all_worms(5, 3)
     ranks0 = {c: ordinal_of(c, 0) for c in candidates}
     ranks1 = {c: ordinal_of(c, 1) for c in candidates}
-    uppers = [w for w in samples.all_worms(2, 2) if in_worms(w, 1) and not w.is_empty]
+    uppers = [w for w in samples.all_worms(2, 2) if in_worms(w, 1) and w.letters]
     lowers = samples.all_worms(2, 2)
     for upper in uppers:
         for lower in lowers:

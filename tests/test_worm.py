@@ -269,7 +269,7 @@ def test_concatenation_identity():
         for n in range(5):
             assert concat(head(a, n), remainder(a, n)) == a
             r = remainder(a, n)
-            assert r.is_empty or r.letters[0] < n
+            assert not r.letters or r.letters[0] < n
             assert in_worms(head(a, n), n)
 
 
