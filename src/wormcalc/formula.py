@@ -8,9 +8,7 @@ checker can use the existential clause directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .parsing import Cursor, ParseError, is_natural
+from .parsing import Cursor, ParseError, Value, is_natural
 from .worm import Worm
 
 __all__ = [
@@ -30,27 +28,28 @@ __all__ = [
 ]
 
 
-class Formula:
+class Formula(Value):
     __slots__ = ()
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
 # The nodes with parts hash once, when they are built, from their parts'
 # stored hashes; so hashing takes constant stack however deep the formula.
 # They compare by `_equal`, which walks the two trees on an explicit stack,
-# so equality takes constant stack too.
+# so equality takes constant stack too. Their public constructors check the
+# parts and build through `_from_checked`, which the parser, the sugar and
+# `formula_of_worm` call directly: their parts are formulas already, or are
+# checked once on the way in.
 
 
 def _equal(f: Formula, g: object) -> bool:
@@ -80,13 +79,26 @@ def _equal(f: Formula, g: object) -> bool:
         f, g = pending.pop()
 
 
-@dataclass(frozen=True, repr=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+def _formula(part: object) -> Formula:
+    if not isinstance(part, Formula):
+        raise TypeError(f"{part!r} is not a formula")
+    return part
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+class Implies(Formula):
+    __slots__ = ("left", "right", "_hash")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return cls._from_checked(_formula(left), _formula(right))
+
+    @classmethod
+    def _from_checked(cls, left: Formula, right: Formula) -> "Implies":
+        node = object.__new__(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        _set_implies_hash(node, hash((left, right)))
+        return node
 
     def __hash__(self) -> int:
         return self._hash
@@ -97,17 +109,24 @@ class Implies(Formula):
         return f"Implies({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class _Modal(Formula):
     """The shared shape of Box and Diamond: a natural-number index and a body."""
 
-    index: int
-    body: Formula
+    __slots__ = ("index", "body", "_hash")
+    __match_args__ = ("index", "body")
 
-    def __post_init__(self):
-        if not is_natural(self.index):
-            raise ValueError(f"modal index {self.index!r} must be a natural number")
-        object.__setattr__(self, "_hash", hash((self.index, self.body)))
+    def __new__(cls, index: int, body: Formula):
+        if not is_natural(index):
+            raise ValueError(f"modal index {index!r} must be a natural number")
+        return cls._from_checked(index, _formula(body))
+
+    @classmethod
+    def _from_checked(cls, index: int, body: Formula) -> "_Modal":
+        node = object.__new__(cls)
+        _set_index(node, index)
+        _set_body(node, body)
+        _set_modal_hash(node, hash((index, body)))
+        return node
 
     def __hash__(self) -> int:
         return self._hash
@@ -116,31 +135,43 @@ class _Modal(Formula):
 
 
 class Box(_Modal):
+    __slots__ = ()
+
     def __repr__(self):
         return f"Box({self.index}, {self.body!r})"
 
 
 class Diamond(_Modal):
+    __slots__ = ()
+
     def __repr__(self):
         return f"Diamond({self.index}, {self.body!r})"
 
 
+_set_left, _set_right, _set_implies_hash = (
+    Implies.left.__set__, Implies.right.__set__, Implies._hash.__set__
+)
+_set_index, _set_body, _set_modal_hash = (
+    _Modal.index.__set__, _Modal.body.__set__, _Modal._hash.__set__
+)
+
+
 def neg(f: Formula) -> Formula:
-    return Implies(f, Bottom())
+    return Implies._from_checked(_formula(f), Bottom())
 
 
 def conj(f: Formula, g: Formula) -> Formula:
-    return Implies(Implies(f, neg(g)), Bottom())
+    return Implies._from_checked(Implies._from_checked(_formula(f), neg(g)), Bottom())
 
 
 def disj(f: Formula, g: Formula) -> Formula:
-    return Implies(neg(f), g)
+    return Implies._from_checked(neg(f), _formula(g))
 
 
 def formula_of_worm(a: Worm) -> Formula:
     f: Formula = Top()
     for letter in reversed(a.letters):
-        f = Diamond(letter, f)
+        f = Diamond._from_checked(letter, f)
     return f
 
 
@@ -181,7 +212,7 @@ def parse_formula(text: str) -> Formula:
 # so it associates to the right; | and & read theirs one higher, so they
 # associate to the left
 _INFIX = {
-    "->": (_PREC_IMPLIES, _PREC_IMPLIES, Implies),
+    "->": (_PREC_IMPLIES, _PREC_IMPLIES, Implies._from_checked),
     "|": (_PREC_OR, _PREC_AND, disj),
     "&": (_PREC_AND, _PREC_UNARY, conj),
 }
@@ -217,7 +248,7 @@ def _parse_unary(cur: Cursor) -> Formula:
         cur.pos += 1
         n = cur.numeral("indices")
         cur.expect("]" if token == "[" else ">")
-        return (Box if token == "[" else Diamond)(n, _parse_unary(cur))
+        return (Box if token == "[" else Diamond)._from_checked(n, _parse_unary(cur))
     if token == "(":
         cur.pos += 1
         f = _parse(cur, _PREC_IMPLIES)

@@ -36,7 +36,6 @@ exact fragments, and any disagreement fails the build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from typing import Iterable, Mapping, Sequence
 
@@ -44,7 +43,7 @@ from . import formula as fm
 from .ordinal import (
     ZERO, Ordinal, add, compare, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
-from .parsing import ParseError, is_natural
+from .parsing import ParseError, Value, is_natural
 from .worm import Worm
 
 __all__ = [
@@ -82,8 +81,7 @@ class ModalityOutOfRangeError(ValueError):
     """The formula mentions a modality above the submodel's max index."""
 
 
-@dataclass(frozen=True, repr=False)
-class Point:
+class Point(Value):
     """A world: stored coordinates, with an implicit all-zero tail.
 
     Canonical support: the final stored coordinate is nonzero unless the
@@ -92,7 +90,12 @@ class Point:
     coordinates' stored hashes, when the point is built.
     """
 
-    coords: tuple[Ordinal, ...]
+    __slots__ = ("coords", "_hash")
+    __match_args__ = ("coords",)
+
+    def __init__(self, coords: tuple[Ordinal, ...]):
+        _set_coords(self, coords)
+        self.__post_init__()
 
     def __post_init__(self):
         coords = self.coords
@@ -102,15 +105,15 @@ class Point:
             raise ValueError("a point stores at least one coordinate")
         if len(coords) > 1 and coords[-1].is_zero:
             raise ValueError("non-canonical point: trailing zero coordinate")
-        object.__setattr__(self, "_hash", hash(coords))
+        _set_point_hash(self, hash(coords))
 
     @classmethod
     def _from_checked(cls, coords: tuple[Ordinal, ...]) -> "Point":
         """A point of coordinates already known to be canonical Ordinals,
         built without running __post_init__'s check again."""
         point = object.__new__(cls)
-        object.__setattr__(point, "coords", coords)
-        object.__setattr__(point, "_hash", hash(coords))
+        _set_coords(point, coords)
+        _set_point_hash(point, hash(coords))
         return point
 
     def __hash__(self) -> int:
@@ -136,6 +139,9 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point({print_point(self)!r})"
+
+
+_set_coords, _set_point_hash = Point.coords.__set__, Point._hash.__set__
 
 
 def parse_coords(text: str) -> tuple[Ordinal, ...]:
@@ -359,16 +365,20 @@ def enumerate_submodel(universe: Iterable[Ordinal], max_index: int) -> FiniteSub
     return FiniteSubmodel(list(universe), max_index)
 
 
-@dataclass(frozen=True)
-class ForcingResult:
+class ForcingResult(Value):
     """Truth value plus whether it is exact for the full model."""
 
-    value: bool
-    exact: bool
+    __slots__ = __match_args__ = ("value", "exact")
+
+    def __init__(self, value: bool, exact: bool):
+        _set_value(self, value)
+        _set_exact(self, exact)
 
     def __bool__(self) -> bool:
         return self.value
 
+
+_set_value, _set_exact = ForcingResult.value.__set__, ForcingResult.exact.__set__
 
 # the two answers forces and validity_check give, indexed by value, on an
 # inexact and on an exact fragment
@@ -424,8 +434,15 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     nesting depth; m keeps f's truth vector, so f at each further world
     costs a lookup of p and one of f.
     """
-    i = m._position(p)
-    return m._results[_vector(m, f)[i]]
+    # the lookups inline; the helpers run only on a miss, to raise or to
+    # build the vector
+    i = m._index.get(p)
+    if i is None:
+        i = m._position(p)
+    vector = m._vectors.get(f)
+    if vector is None:
+        vector = _vector(m, f)
+    return m._results[vector[i]]
 
 
 def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:

@@ -21,10 +21,9 @@ scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
-from .parsing import Cursor, ParseError, are_numerals, is_natural
+from .parsing import Cursor, ParseError, Value, are_numerals, is_natural
 
 __all__ = [
     "Ordinal",
@@ -43,8 +42,7 @@ __all__ = [
 
 
 @total_ordering
-@dataclass(frozen=True, repr=False, eq=False)
-class Ordinal:
+class Ordinal(Value):
     """Cantor normal form: a tuple of (exponent, coefficient) terms.
 
     Instances are immutable and the constructor validates its terms, so any
@@ -57,7 +55,12 @@ class Ordinal:
     Equality checks identity, then the hashes, then the keys.
     """
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    __slots__ = ("terms", "_key", "_hash")
+    __match_args__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple["Ordinal", int], ...] = ()):
+        _set_terms(self, terms)
+        self.__post_init__()
 
     def __post_init__(self):
         key = []
@@ -69,8 +72,8 @@ class Ordinal:
             if key and key[-2] <= exponent._key:
                 raise ValueError("exponents must be strictly decreasing")
             key += (exponent._key, coefficient)
-        object.__setattr__(self, "_key", tuple(key))
-        object.__setattr__(self, "_hash", hash(self.terms))
+        _set_key(self, tuple(key))
+        _set_hash(self, hash(self.terms))
 
     @classmethod
     def _from_checked(cls, terms: tuple[tuple["Ordinal", int], ...]) -> "Ordinal":
@@ -79,13 +82,12 @@ class Ordinal:
         key = []
         for exponent, coefficient in terms:
             key += (exponent._key, coefficient)
-        # object.__setattr__ keeps the attributes inline; writing x.__dict__
-        # builds faster but makes a dict, and every later read of the
-        # value's terms or key about twice as slow
+        # the slots' own setters: object.__setattr__ would look each name up
+        # again, and the refusing __setattr__ is in the way of a plain write
         x = object.__new__(cls)
-        object.__setattr__(x, "terms", terms)
-        object.__setattr__(x, "_key", tuple(key))
-        object.__setattr__(x, "_hash", hash(terms))
+        _set_terms(x, terms)
+        _set_key(x, tuple(key))
+        _set_hash(x, hash(terms))
         return x
 
     def __hash__(self) -> int:
@@ -126,6 +128,8 @@ class Ordinal:
     def __repr__(self) -> str:
         return f"Ordinal({print_ordinal(self)!r})"
 
+
+_set_terms, _set_key, _set_hash = Ordinal.terms.__set__, Ordinal._key.__set__, Ordinal._hash.__set__
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))

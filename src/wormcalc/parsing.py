@@ -6,6 +6,9 @@ is written once, here: `is_natural` for values (an int n >= 0, not a bool);
 `are_numerals` for whole strings and `Cursor.numeral` for a scan, both
 ASCII digits without leading zeros. Parsers and public constructors check
 their inputs with these, once, and build their results unchecked.
+
+`Value` is the base every value type shares: slotted, and closed to every
+attribute write once it is built.
 """
 
 from __future__ import annotations
@@ -35,6 +38,46 @@ def are_numerals(pieces) -> bool:
     except TypeError:
         return False
     return True
+
+
+class Value:
+    """An immutable value with its fields in slots.
+
+    A subclass names its constructor's fields, in order, in `__match_args__`,
+    which `match` reads too. Equality, hashing, repr, copying and pickling
+    go by those fields, in that order, unless the subclass writes its own.
+    Every attribute write and delete is refused, so a build sets the slots
+    through their descriptors' own `__set__`, bound once per class; a copy
+    or an unpickled value goes back through the public constructor and its
+    checks.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class ParseError(ValueError):

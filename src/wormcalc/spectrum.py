@@ -15,14 +15,13 @@ which the two points still agree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import zip_longest
 from operator import itemgetter
 from typing import Mapping, Union
 
 from .ignatiev import Point, least_world, print_point, valid_point
 from .ordinal import ZERO, from_int, omega_power, parse_ordinal, print_ordinal
-from .parsing import are_numerals, is_natural
+from .parsing import Value, are_numerals, is_natural
 from .worm import Worm, _worm_of, ordinal_of, parse_worm, print_worm, worm_of_ordinal
 
 __all__ = [
@@ -49,20 +48,19 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
 _JSON = json.JSONDecoder(object_pairs_hook=_distinct_keys)
 
 
-@dataclass(frozen=True, repr=False)
-class TheoryPresentation:
+class TheoryPresentation(Value):
     """A finite map level -> worm, the union of the per-level progressions."""
 
-    entries: tuple[tuple[int, Worm], ...] = ()
-    name: str | None = None
+    __slots__ = __match_args__ = ("entries", "name")
 
-    def __post_init__(self):
-        for level, worm in self.entries:
+    def __new__(cls, entries: tuple[tuple[int, Worm], ...] = (), name: str | None = None):
+        for level, worm in entries:
             if not (is_natural(level) and isinstance(worm, Worm)):
                 raise ValueError(f"entry {(level, worm)!r} must pair a natural level with a Worm")
-        levels = [level for level, _ in self.entries]
+        levels = [level for level, _ in entries]
         if levels != sorted(set(levels)):
             raise ValueError("entries must be sorted by level without duplicates")
+        return cls._from_checked(entries, name)
 
     @classmethod
     def of(cls, entries: Mapping[int, Worm], name: str | None = None) -> "TheoryPresentation":
@@ -103,11 +101,11 @@ class TheoryPresentation:
         cls, entries: tuple[tuple[int, Worm], ...], name: str | None
     ) -> "TheoryPresentation":
         """A presentation whose levels are already known to be naturals,
-        sorted and distinct, built without running __post_init__'s check
+        sorted and distinct, built without running the constructor's check
         again."""
         presentation = object.__new__(cls)
-        object.__setattr__(presentation, "entries", entries)
-        object.__setattr__(presentation, "name", name)
+        _set_entries(presentation, entries)
+        _set_name(presentation, name)
         return presentation
 
     def __repr__(self):
@@ -115,8 +113,10 @@ class TheoryPresentation:
         return f"TheoryPresentation({{{inner}}})"
 
 
-@dataclass(frozen=True, repr=False)
-class Spectrum:
+_set_entries, _set_name = TheoryPresentation.entries.__set__, TheoryPresentation.name.__set__
+
+
+class Spectrum(Value):
     """A theory's spectrum: a world of the universal model.
 
     Coordinate n is the theory's Pi_{n+1} ordinal, and two spectra are the
@@ -125,7 +125,10 @@ class Spectrum:
     canonical worm of coordinate n at level n.
     """
 
-    point: Point
+    __slots__ = __match_args__ = ("point",)
+
+    def __init__(self, point: Point):
+        _set_point(self, point)
 
     @classmethod
     def of_point(cls, p: Point) -> "Spectrum":
@@ -161,6 +164,9 @@ class Spectrum:
         return f"Spectrum({print_point(self.point)})"
 
 
+_set_point = Spectrum.point.__set__
+
+
 def normalize(t: TheoryPresentation) -> Spectrum:
     """Collapse a presentation to its unique point of the universal model.
 
@@ -178,12 +184,17 @@ def normalize(t: TheoryPresentation) -> Spectrum:
     return Spectrum(least_world(coords))
 
 
-@dataclass(frozen=True)
-class LimitTheory:
+class LimitTheory(Value):
     """Registry sentinel for theories whose spectrum leaves the model."""
 
-    name: str
-    note: str
+    __slots__ = __match_args__ = ("name", "note")
+
+    def __init__(self, name: str, note: str):
+        _set_limit_name(self, name)
+        _set_note(self, note)
+
+
+_set_limit_name, _set_note = LimitTheory.name.__set__, LimitTheory.note.__set__
 
 
 def conservation_level(p: Spectrum, q: Spectrum) -> int | str:

@@ -18,11 +18,10 @@ and compare without descending the towers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .ordinal import ONE, ZERO, Ordinal, add, compare, omega_power
-from .parsing import Cursor, are_numerals, is_natural
+from .parsing import Cursor, Value, are_numerals, is_natural
 
 __all__ = [
     "Worm",
@@ -37,33 +36,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, repr=False)
-class Worm:
-    letters: tuple[int, ...] = ()
+class Worm(Value):
+    __slots__ = {
+        "letters": None,
+        "ranks": """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
 
-    def __post_init__(self):
-        for letter in self.letters:
+        The rank table `ordinal_of` reads too, swept once per distinct letter
+        tuple (`_ranks`) and kept in this slot on the first read. It is not a
+        field, so equality, hashing and repr still see only the letters.""",
+    }
+    __match_args__ = ("letters",)
+
+    def __new__(cls, letters: tuple[int, ...] = ()):
+        for letter in letters:
             if not is_natural(letter):
                 raise ValueError(f"letter {letter!r} must be a natural number")
+        return cls._from_checked(letters)
 
     @classmethod
     def _from_checked(cls, letters: tuple[int, ...]) -> "Worm":
         """A worm of letters that are already known to be naturals, built
-        without running __post_init__'s per-letter check again."""
+        without running the constructor's per-letter check again."""
         worm = object.__new__(cls)
-        object.__setattr__(worm, "letters", letters)
+        _set_letters(worm, letters)
         return worm
 
-    @cached_property
-    def ranks(self) -> tuple[Ordinal, ...]:
-        """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
-
-        The rank table `ordinal_of` reads too, swept once per distinct
-        letter tuple (`_ranks`), and kept in the instance dict, outside the
-        dataclass fields, so equality, hashing and repr still see only the
-        letters.
-        """
-        return _ranks(self.letters)
+    def __getattr__(self, name: str):
+        # reached only when the ordinary lookup fails: for `ranks`, until the
+        # first read fills its slot. A property would cost a Python call on
+        # every read, and `forces_worm` reads the ranks at every world
+        if name != "ranks":
+            raise AttributeError(f"'Worm' object has no attribute {name!r}")
+        ranks = _ranks(self.letters)
+        _set_ranks(self, ranks)
+        return ranks
 
     def __str__(self) -> str:
         return print_worm(self)
@@ -71,6 +77,8 @@ class Worm:
     def __repr__(self) -> str:
         return f"Worm({print_worm(self)!r})"
 
+
+_set_letters, _set_ranks = Worm.letters.__set__, Worm.ranks.__set__
 
 TOP = Worm()
 

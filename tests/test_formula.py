@@ -86,6 +86,56 @@ def test_modal_index_must_be_natural():
                 node(index, Top())
 
 
+def test_formula_constructors_refuse_parts_that_are_not_formulas():
+    for part in (1, None, "T", True, TOP, (Top(),)):
+        for build in (
+            lambda x: Implies(x, Top()),
+            lambda x: Implies(Bottom(), x),
+            lambda x: Box(0, x),
+            lambda x: Diamond(2, x),
+            neg,
+            lambda x: conj(x, Top()),
+            lambda x: conj(Top(), x),
+            lambda x: disj(x, Top()),
+            lambda x: disj(Top(), x),
+        ):
+            with pytest.raises(TypeError):
+                build(part)
+    with pytest.raises(TypeError):
+        Implies(1, 2)
+
+
+def test_parser_and_sugar_build_past_the_constructors_checks(monkeypatch):
+    # the parser, the sugar and formula_of_worm build their nodes without the
+    # public constructors, and build the values those would
+    t, f = Top(), Bottom()
+    d = Diamond(1, t)
+    expected = [
+        Implies(Box(0, d), f),
+        Implies(t, f),
+        Implies(Implies(t, Implies(d, f)), f),
+        Implies(Implies(t, f), d),
+        Diamond(2, Diamond(0, Diamond(1, t))),
+        Implies(Implies(Box(3, t), Implies(d, f)), f),
+    ]
+
+    def refused(cls, *parts):
+        raise AssertionError(f"{cls.__name__}{parts} went through its constructor")
+
+    for node in (Implies, Box, Diamond):
+        monkeypatch.setattr(node, "__new__", refused)
+    built = [
+        parse_formula("[0]<1>T -> F"),
+        neg(t),
+        conj(t, d),
+        disj(t, d),
+        formula_of_worm(parse_worm("2.0.1")),
+        parse_formula("[3]T & <1>T"),
+    ]
+    assert built == expected
+    assert [hash(g) for g in built] == [hash(g) for g in expected]
+
+
 def test_reprs():
     assert repr(Top()) == "Top()" and repr(Bottom()) == "Bottom()"
     assert repr(parse_formula("[1]F -> <0>T")) == "Implies(Box(1, Bottom()), Diamond(0, Top()))"

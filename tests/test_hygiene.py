@@ -1,10 +1,12 @@
 """Source-level guards: tests that cannot shadow each other, a package
-that imports nothing outside the standard library, exports that name what
-the modules define, modules that share no private names, and formats that
-one module alone decodes."""
+that imports nothing outside the standard library and no dataclasses,
+exports that name what the modules define, modules that share no private
+names, and formats that one module alone decodes."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -30,6 +32,18 @@ def test_no_shadowed_tests_and_stdlib_only_imports():
                 continue
             for root in roots:
                 assert root == "wormcalc" or root in sys.stdlib_module_names, (path.name, root)
+                assert root != "dataclasses", path.name
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the value types are hand-slotted, so dataclasses, about a fifth of the
+    # CLI's import time, is imported by nothing the CLI imports
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wormcalc.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
 
 
 def exported(tree):
@@ -101,9 +115,9 @@ def test_unchecked_points_and_order_keys_stay_in_their_modules():
 
 
 def test_no_instance_dict_writes():
-    # an instance's __dict__, once touched, is a real dict, and every later
-    # field read goes through it at about twice the cost; values built past
-    # their check set their fields with object.__setattr__ instead
+    # the value types keep their fields in slots and have no instance
+    # __dict__ to write; values built past their check set each slot through
+    # its descriptor's own __set__
     for path in sorted((ROOT / "src" / "wormcalc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
