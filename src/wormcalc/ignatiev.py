@@ -371,6 +371,8 @@ class ForcingResult(Value):
     __slots__ = __match_args__ = ("value", "exact")
 
     def __init__(self, value: bool, exact: bool):
+        if not (isinstance(value, bool) and isinstance(exact, bool)):
+            raise TypeError(f"value {value!r} and exact {exact!r} must be bools")
         _set_value(self, value)
         _set_exact(self, exact)
 

@@ -11,7 +11,8 @@ that is exponent before coefficient, term by term, which is exactly the CNF
 order. So `compare` is one tuple comparison in C. The hash and the key are
 built in constant stack from the exponents' own, whatever the nesting; a
 comparison of two distinct values descends one level of C per level of
-nesting, as deep as a recursive compare would.
+nesting, as deep as a recursive compare would. Copies and pickles go
+through a flat table of sub-ordinals, so they too take constant stack.
 
 Provided operations are the ones the worm calculus needs: comparison,
 (non-commutative) addition, w-powers, the last-exponent map and the
@@ -122,6 +123,29 @@ class Ordinal(Value):
             return NotImplemented
         return self._key < other._key
 
+    def __reduce__(self):
+        """Copy and pickle through a flat table, in constant stack.
+
+        Each distinct sub-ordinal (by identity) is one row, exponents before
+        the ordinals that use them, and a row's terms name their exponents
+        by row number; the last row is this ordinal. `_from_table` rebuilds
+        the rows in order through the public constructor, so a copy or an
+        unpickled value passes its checks."""
+        rows: list[tuple[tuple[int, int], ...]] = []
+        row_of: dict[int, int] = {}  # id of a sub-ordinal -> its row
+        stack = [self]
+        while stack:
+            x = stack[-1]
+            pending = [e for e, _ in x.terms if id(e) not in row_of]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            if id(x) not in row_of:
+                row_of[id(x)] = len(rows)
+                rows.append(tuple((row_of[id(e)], c) for e, c in x.terms))
+        return _from_table, (tuple(rows),)
+
     def __str__(self) -> str:
         return print_ordinal(self)
 
@@ -130,6 +154,15 @@ class Ordinal(Value):
 
 
 _set_terms, _set_key, _set_hash = Ordinal.terms.__set__, Ordinal._key.__set__, Ordinal._hash.__set__
+
+
+def _from_table(rows: tuple[tuple[tuple[int, int], ...], ...]) -> Ordinal:
+    # the inverse of Ordinal.__reduce__: every row through the constructor
+    built: list[Ordinal] = []
+    for row in rows:
+        built.append(Ordinal(tuple((built[i], c) for i, c in row)))
+    return built[-1]
+
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))

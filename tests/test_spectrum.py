@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import samples
 from samples import concat, in_worms
+from wormcalc import spectrum
+from wormcalc.cli import main
 from wormcalc.ignatiev import Point, is_valid_point, min_point_for_worm
 from wormcalc.ordinal import (
     ZERO,
@@ -149,6 +152,16 @@ def test_presentation_json_round_trip():
             TheoryPresentation.from_json(bad)
 
 
+def test_repeated_key_is_refused_in_linear_time():
+    # the repeat was looked for in a new dict of every prefix: 8,000 keys took 1.9 s
+    keys = [f'"{n}":"T"' for n in range(50_000)] + ['"7":"0"']
+    text = '{"entries":{' + ",".join(keys) + "}}"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="JSON key '7' is repeated"):
+        TheoryPresentation.from_json(text)
+    assert time.perf_counter() - start < 1
+
+
 def test_presentation_json_builds_sorted_entries():
     t = TheoryPresentation.from_json('{"entries":{"10":"T","0":"0","2":"1.0"}}')
     assert t.entries == ((0, parse_worm("0")), (2, parse_worm("1.0")), (10, TOP))
@@ -252,6 +265,41 @@ def test_spectrum_json():
             Spectrum.from_json(bad)
     with pytest.raises(ValueError, match="'coords' is repeated"):
         Spectrum.from_json('{"coords":["1"],"coords":["w"]}')
+
+
+def test_json_views_are_fresh_lists_of_memoized_strings():
+    s = normalize(TheoryPresentation.from_json('{"entries":{"0":"0.1","1":"1"}}'))
+    out = s.to_json()
+    out["coords"][0] = "junk"
+    out["worms"].append("junk")
+    out["extra"] = []
+    assert s.to_json() == {"coords": ["w*2", "1"], "worms": ["1.0.1", "1"]}
+    # an equal point built apart from s meets the entries s filled
+    out = s.to_json()
+    size = spectrum._views.cache_info().currsize
+    again = Spectrum.from_json(json.dumps(out))
+    assert again.point.coords[0] is not s.point.coords[0]
+    assert again.to_json() == out
+    assert spectrum._views.cache_info().currsize == size
+
+
+def test_json_views_keep_nothing_from_a_failed_print(capsys):
+    # the worm of this coordinate nests past the recursion limit
+    info = spectrum._views.cache_info()
+    assert main(["spectrum", '{"entries":{"1200":"1200"}}']) == 2
+    assert capsys.readouterr().err.startswith("error: input nested too deeply")
+    after = spectrum._views.cache_info()
+    assert (after.misses, after.currsize) == (info.misses + 1, info.currsize)
+
+
+def test_json_views_match_the_oracle_from_a_cleared_memo():
+    spectra = [normalize(TheoryPresentation.of({n: a})) for n in range(4) for a in samples.all_worms(4, 3)]
+    spectrum._views.cache_clear()
+    # the first pass fills the memo, the second reads it
+    for _ in range(2):
+        for s in spectra:
+            assert s.to_json() == samples.spectrum_json_oracle(s), s
+    assert spectrum._views.cache_info().hits > 0
 
 
 def test_conservation_examples():

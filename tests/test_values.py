@@ -3,6 +3,7 @@ copied or pickled as an equal value with the same hash and repr."""
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -60,3 +61,36 @@ def test_copies_and_pickles_are_equal_values():
         for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(twin) is type(v), type(v)
             assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+
+
+def test_constructors_refuse_fields_of_the_wrong_type():
+    # each of these was built, and Spectrum(5) failed later in repr and to_json
+    for cls, args in (
+        (Spectrum, (5,)),
+        (Spectrum, (None,)),
+        (Spectrum, ((ZERO,),)),
+        (ForcingResult, ("yes", None)),
+        (ForcingResult, (1, True)),
+        (ForcingResult, (True, 0)),
+        (LimitTheory, (1, 2)),
+        (LimitTheory, ("PA", None)),
+        (LimitTheory, (b"PA", "note")),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args)
+
+
+def test_deep_ordinals_copy_and_pickle_in_constant_stack():
+    tower = Worm((1500,)).ranks[0]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        twins = [copy.copy(tower), copy.deepcopy(tower), pickle.loads(pickle.dumps(tower))]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert all(type(twin) is Ordinal and hash(twin) == hash(tower) for twin in twins)
+    # comparing two separately built towers still descends them, so equality
+    # is checked on a lower one
+    lower = Worm((600,)).ranks[0]
+    for twin in (copy.deepcopy(lower), pickle.loads(pickle.dumps(lower))):
+        assert twin is not lower and twin == lower and hash(twin) == hash(lower)
