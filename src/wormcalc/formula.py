@@ -8,7 +8,7 @@ checker can use the existential clause directly.
 
 from __future__ import annotations
 
-from .parsing import Cursor, ParseError, Value, is_natural
+from .parsing import Cursor, ParseError, Value, interner, is_natural
 from .worm import Worm
 
 __all__ = [
@@ -28,8 +28,18 @@ __all__ = [
 ]
 
 
+# Formulas are hash-consed: Implies, Box and Diamond nodes are interned by
+# (type, parts), and Top and Bottom are singletons, so two equal formulas
+# are one object. Equality is identity and the hash is object's, so both
+# take constant stack however deep the formula. The public constructors
+# check the parts and build through `_from_checked`, which the parser, the
+# sugar and `formula_of_worm` call directly: their parts are formulas
+# already, or are checked once on the way in.
+
+
 class Formula(Value):
     __slots__ = ()
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -38,45 +48,18 @@ class Formula(Value):
 class Top(Formula):
     __slots__ = ()
 
+    def __new__(cls):
+        return _TOP
+
 
 class Bottom(Formula):
     __slots__ = ()
 
-
-# The nodes with parts hash once, when they are built, from their parts'
-# stored hashes; so hashing takes constant stack however deep the formula.
-# They compare by `_equal`, which walks the two trees on an explicit stack,
-# so equality takes constant stack too. Their public constructors check the
-# parts and build through `_from_checked`, which the parser, the sugar and
-# `formula_of_worm` call directly: their parts are formulas already, or are
-# checked once on the way in.
+    def __new__(cls):
+        return _BOTTOM
 
 
-def _equal(f: Formula, g: object) -> bool:
-    """Structural equality: the node types, stored hashes and indices, pair
-    by pair down both trees; an implication's right parts wait on a stack."""
-    if not isinstance(g, Formula):
-        return NotImplemented
-    pending = []
-    while True:
-        while f is not g:
-            kind = type(f)
-            if kind is not type(g):
-                return False
-            if kind is Implies:
-                if f._hash != g._hash:
-                    return False
-                pending.append((f.right, g.right))
-                f, g = f.left, g.left
-            elif kind is Box or kind is Diamond:
-                if f._hash != g._hash or f.index != g.index:
-                    return False
-                f, g = f.body, g.body
-            else:  # Top or Bottom
-                break
-        if not pending:
-            return True
-        f, g = pending.pop()
+_TOP, _BOTTOM = object.__new__(Top), object.__new__(Bottom)
 
 
 def _formula(part: object) -> Formula:
@@ -86,24 +69,11 @@ def _formula(part: object) -> Formula:
 
 
 class Implies(Formula):
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right", "__weakref__")
     __match_args__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
         return cls._from_checked(_formula(left), _formula(right))
-
-    @classmethod
-    def _from_checked(cls, left: Formula, right: Formula) -> "Implies":
-        node = object.__new__(cls)
-        _set_left(node, left)
-        _set_right(node, right)
-        _set_implies_hash(node, hash((left, right)))
-        return node
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    __eq__ = _equal
 
     def __repr__(self):
         return f"Implies({self.left!r}, {self.right!r})"
@@ -112,26 +82,13 @@ class Implies(Formula):
 class _Modal(Formula):
     """The shared shape of Box and Diamond: a natural-number index and a body."""
 
-    __slots__ = ("index", "body", "_hash")
+    __slots__ = ("index", "body", "__weakref__")
     __match_args__ = ("index", "body")
 
     def __new__(cls, index: int, body: Formula):
         if not is_natural(index):
             raise ValueError(f"modal index {index!r} must be a natural number")
         return cls._from_checked(index, _formula(body))
-
-    @classmethod
-    def _from_checked(cls, index: int, body: Formula) -> "_Modal":
-        node = object.__new__(cls)
-        _set_index(node, index)
-        _set_body(node, body)
-        _set_modal_hash(node, hash((index, body)))
-        return node
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    __eq__ = _equal
 
 
 class Box(_Modal):
@@ -148,12 +105,24 @@ class Diamond(_Modal):
         return f"Diamond({self.index}, {self.body!r})"
 
 
-_set_left, _set_right, _set_implies_hash = (
-    Implies.left.__set__, Implies.right.__set__, Implies._hash.__set__
-)
-_set_index, _set_body, _set_modal_hash = (
-    _Modal.index.__set__, _Modal.body.__set__, _Modal._hash.__set__
-)
+_set_left, _set_right = Implies.left.__set__, Implies.right.__set__
+_set_index, _set_body = _Modal.index.__set__, _Modal.body.__set__
+
+
+def _build(cls: type, first, second) -> Formula:
+    # a new node, its parts set through the slots' own setters
+    node = object.__new__(cls)
+    if cls is Implies:
+        _set_left(node, first)
+        _set_right(node, second)
+    else:
+        _set_index(node, first)
+        _set_body(node, second)
+    return node
+
+
+_FORMULAS, _intern = interner(_build)
+Implies._from_checked = _Modal._from_checked = classmethod(_intern)
 
 
 def neg(f: Formula) -> Formula:

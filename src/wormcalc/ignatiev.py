@@ -11,9 +11,9 @@ underapproximated. Evaluation builds one truth vector over the worlds per
 subformula, so it costs O(|W|*|f|) whatever the nesting depth. A fragment
 evaluates each distinct formula it is asked about once: the first query
 costs O(|W|*|f|) and checks the modal indices in the same walk, the same
-formula at each further world costs O(1), since points and formulas carry
-the hash taken when they were built, and the vectors live as long as the
-model.
+formula at each further world costs O(1), since a point carries the hash
+taken when it was built and a formula, hash-consed, hashes by identity;
+the vectors live as long as the model.
 
 `least_world` is the model's join: the coordinatewise least world at or
 above any finite list of ordinals. `spectrum.normalize` places a
@@ -28,10 +28,11 @@ evaluation, successors and rendering index directly.
 
 `forces_worm` decides worm statements through the coordinatewise criterion
 rank_n(worm) <= coordinate_n. The ranks are taken once per distinct worm
-(`Worm.ranks`), so each further world costs one order-key comparison per
-level. That criterion is folklore rather than textbook; the test suite
-certifies it by exhaustive agreement with the definitional evaluator on
-exact fragments, and any disagreement fails the build.
+(`Worm.ranks`), so each further world costs one identity test per level,
+and one `compare` where the rank and the coordinate differ. That
+criterion is folklore rather than textbook; the test suite certifies it
+by exhaustive agreement with the definitional evaluator on exact
+fragments, and any disagreement fails the build.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class Point(Value):
     Canonical support: the final stored coordinate is nonzero unless the
     point is the root, stored as the single coordinate 0. Equal points are
     therefore structurally identical. The hash is taken once, from the
-    coordinates' stored hashes, when the point is built.
+    coordinates' identities, when the point is built.
     """
 
     __slots__ = ("coords", "_hash")
@@ -225,7 +226,8 @@ def forces_worm(p: Point, a: Worm) -> bool:
     """Decide a worm statement at a world via the coordinatewise rank criterion.
 
     The worm's ranks are taken once per distinct worm; at each world the test
-    is one order-key comparison per level up to the point's support.
+    is one identity test per level up to the point's support, and a
+    `compare` where the rank is not the coordinate itself.
     """
     coords, ranks = p.coords, a.ranks
     # the ranks form a world, so once one is 0 all later ones are: a rank
@@ -233,7 +235,7 @@ def forces_worm(p: Point, a: Worm) -> bool:
     if len(ranks) > len(coords) and ranks[len(coords)].terms:
         return False
     for r, c in zip(ranks, coords):
-        if r._key > c._key:
+        if r is not c and compare(r, c) > 0:
             return False
     return True
 
@@ -273,17 +275,17 @@ class FiniteSubmodel:
         if not universe:
             raise UniverseError("universe is empty")
         # the elements and their last-exponent chains down to 0, whose last
-        # exponent is 0 again, deduplicated by order key
-        by_key = {}
+        # exponent is 0 again; equal ordinals are one object, so a dict in
+        # first-seen order dedupes them, and the sort compares distinct ones
+        closed = {}
         for u in universe:
-            while u._key not in by_key:
-                by_key[u._key] = u
+            while u not in closed:
+                closed[u] = None
                 u = last_exponent(u)
-        keys = sorted(by_key)
-        self.universe: tuple[Ordinal, ...] = tuple([by_key[key] for key in keys])
+        self.universe: tuple[Ordinal, ...] = tuple(sorted(closed))
         # the position of each element's last exponent
-        position = {key: k for k, key in enumerate(keys)}
-        below = [position[last_exponent(u)._key] for u in self.universe]
+        position = {u: k for k, u in enumerate(self.universe)}
+        below = [position[last_exponent(u)] for u in self.universe]
         self.max_index = max_index
         self.worlds, spans = self._generate(below)
         # the relations from the deepest support up have no edge: they share

@@ -4,15 +4,15 @@ An ordinal is a finite sum w^e1*c1 + ... + w^ek*ck with ordinal exponents
 e1 > e2 > ... > ek and positive integer coefficients; the empty sum is 0.
 Canonical form is unique, so structural equality decides ordinal equality.
 
-Each value is hashed once, when it is built, and carries an order key: the
-flat tuple (key of e1, c1, key of e2, c2, ...). Python compares tuples
-lexicographically, item by item, and a proper prefix is smaller; on the key
-that is exponent before coefficient, term by term, which is exactly the CNF
-order. So `compare` is one tuple comparison in C. The hash and the key are
-built in constant stack from the exponents' own, whatever the nesting; a
-comparison of two distinct values descends one level of C per level of
-nesting, as deep as a recursive compare would. Copies and pickles go
-through a flat table of sub-ordinals, so they too take constant stack.
+Values are hash-consed: every build, by the constructor, the parser, the
+arithmetic, a copy or an unpickling, returns the one live object with its
+terms, from a weak intern table. Equality is identity and the hash is
+object's, so a hash is not stable from one process to the next and no
+output may depend on the order of a set of ordinals. `compare` is a loop
+that stops at the first term pair that is not one object, so it, and so
+everything that orders ordinals, takes constant stack at any nesting.
+Copies and pickles go through a flat table of sub-ordinals, so they too
+take constant stack.
 
 Provided operations are the ones the worm calculus needs: comparison,
 (non-commutative) addition, w-powers, the last-exponent map and the
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .parsing import Cursor, ParseError, Value, are_numerals, is_natural
+from .parsing import Cursor, ParseError, Value, are_numerals, interner, is_natural
 
 __all__ = [
     "Ordinal",
@@ -52,54 +52,28 @@ class Ordinal(Value):
     Exponents are themselves Ordinals; coefficients are positive ints (not
     bools). The empty term tuple is 0.
 
-    Construction also stores the hash and the order key described above.
-    Equality checks identity, then the hashes, then the keys.
+    Both ways in end in one intern table, so two equal values are one
+    object: equality is identity, and the hash is object's.
     """
 
-    __slots__ = ("terms", "_key", "_hash")
+    __slots__ = ("terms", "__weakref__")
     __match_args__ = ("terms",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, terms: tuple[tuple["Ordinal", int], ...] = ()):
-        _set_terms(self, terms)
-        self.__post_init__()
-
-    def __post_init__(self):
-        key = []
-        for exponent, coefficient in self.terms:
+    def __new__(cls, terms: tuple[tuple["Ordinal", int], ...] = ()):
+        # the terms are the intern key: an iterator would be read up here
+        if type(terms) is not tuple:
+            raise TypeError(f"terms {terms!r} are not a tuple")
+        previous = None
+        for exponent, coefficient in terms:
             if not isinstance(exponent, Ordinal):
                 raise TypeError(f"exponent {exponent!r} is not an Ordinal")
             if not (is_natural(coefficient) and coefficient):
                 raise ValueError(f"coefficient {coefficient!r} must be a positive int")
-            if key and key[-2] <= exponent._key:
+            if previous is not None and compare(previous, exponent) <= 0:
                 raise ValueError("exponents must be strictly decreasing")
-            key += (exponent._key, coefficient)
-        _set_key(self, tuple(key))
-        _set_hash(self, hash(self.terms))
-
-    @classmethod
-    def _from_checked(cls, terms: tuple[tuple["Ordinal", int], ...]) -> "Ordinal":
-        """An ordinal of terms already known to be canonical, built without
-        running __post_init__'s checks again."""
-        key = []
-        for exponent, coefficient in terms:
-            key += (exponent._key, coefficient)
-        # the slots' own setters: object.__setattr__ would look each name up
-        # again, and the refusing __setattr__ is in the way of a plain write
-        x = object.__new__(cls)
-        _set_terms(x, terms)
-        _set_key(x, tuple(key))
-        _set_hash(x, hash(terms))
-        return x
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._hash == other._hash and self._key == other._key
+            previous = exponent
+        return cls._from_checked(terms)
 
     @property
     def is_zero(self) -> bool:
@@ -121,29 +95,29 @@ class Ordinal(Value):
     def __lt__(self, other: "Ordinal") -> bool:
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self._key < other._key
+        return compare(self, other) < 0
 
     def __reduce__(self):
         """Copy and pickle through a flat table, in constant stack.
 
-        Each distinct sub-ordinal (by identity) is one row, exponents before
-        the ordinals that use them, and a row's terms name their exponents
-        by row number; the last row is this ordinal. `_from_table` rebuilds
-        the rows in order through the public constructor, so a copy or an
-        unpickled value passes its checks."""
+        Each distinct sub-ordinal is one row, exponents before the ordinals
+        that use them, and a row's terms name their exponents by row number;
+        the last row is this ordinal. `_from_table` rebuilds the rows in
+        order through the public constructor, so a copy or an unpickled
+        value passes its checks and is the one object with its value."""
         rows: list[tuple[tuple[int, int], ...]] = []
-        row_of: dict[int, int] = {}  # id of a sub-ordinal -> its row
+        row_of: dict[Ordinal, int] = {}
         stack = [self]
         while stack:
             x = stack[-1]
-            pending = [e for e, _ in x.terms if id(e) not in row_of]
+            pending = [e for e, _ in x.terms if e not in row_of]
             if pending:
                 stack += pending
                 continue
             stack.pop()
-            if id(x) not in row_of:
-                row_of[id(x)] = len(rows)
-                rows.append(tuple((row_of[id(e)], c) for e, c in x.terms))
+            if x not in row_of:
+                row_of[x] = len(rows)
+                rows.append(tuple((row_of[e], c) for e, c in x.terms))
         return _from_table, (tuple(rows),)
 
     def __str__(self) -> str:
@@ -153,7 +127,21 @@ class Ordinal(Value):
         return f"Ordinal({print_ordinal(self)!r})"
 
 
-_set_terms, _set_key, _set_hash = Ordinal.terms.__set__, Ordinal._key.__set__, Ordinal._hash.__set__
+_set_terms = Ordinal.terms.__set__
+
+
+def _build(cls: type, terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
+    # the slot's own setter: object.__setattr__ would look the name up
+    # again, and the refusing __setattr__ is in the way of a plain write
+    x = object.__new__(cls)
+    _set_terms(x, terms)
+    return x
+
+
+# an ordinal of terms already known to be canonical, found in the table or
+# entered there without running the constructor's checks again
+_ORDINALS, _intern = interner(_build)
+Ordinal._from_checked = classmethod(_intern)
 
 
 def _from_table(rows: tuple[tuple[tuple[int, int], ...], ...]) -> Ordinal:
@@ -179,10 +167,27 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     """Total order on canonical forms: -1, 0 or 1.
 
     Lexicographic on the term lists, comparing exponents before
-    coefficients; a proper prefix is smaller. That is the tuple order of
-    the order keys, so this is one comparison of tuples.
+    coefficients; a proper prefix is smaller. Equal values are one object,
+    so the first term pair that differs decides: by its coefficients if its
+    exponents are one object, else by its exponents, which the loop goes on
+    to compare. So any height takes constant stack.
     """
-    return (a._key > b._key) - (a._key < b._key)
+    while a is not b:
+        x, y = a.terms, b.terms
+        if not (x and y):
+            return 1 if x else -1
+        (e, c), (f, d) = x[0], y[0]
+        if e is f and c == d:
+            # the leading terms agree, and a later pair decides
+            for (e, c), (f, d) in zip(x, y):
+                if e is not f or c != d:
+                    break
+            else:
+                return 1 if len(x) > len(y) else -1
+        if e is f:
+            return 1 if c > d else -1
+        a, b = e, f
+    return 0
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -195,7 +200,7 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     cut = 0
     while cut < len(a.terms) and compare(a.terms[cut][0], lead) > 0:
         cut += 1
-    if cut < len(a.terms) and compare(a.terms[cut][0], lead) == 0:
+    if cut < len(a.terms) and a.terms[cut][0] is lead:
         merged = (lead, a.terms[cut][1] + b.terms[0][1])
         return Ordinal._from_checked(a.terms[:cut] + (merged,) + b.terms[1:])
     return Ordinal._from_checked(a.terms[:cut] + b.terms)
@@ -310,7 +315,7 @@ def print_ordinal(a: Ordinal, unicode: bool = False) -> str:
         if not exponent.terms:
             parts.append(str(coefficient))
             continue
-        if exponent._key == ONE._key:
+        if exponent is ONE:
             base = w
         else:
             inner = print_ordinal(exponent, unicode)

@@ -8,10 +8,17 @@ ASCII digits without leading zeros. Parsers and public constructors check
 their inputs with these, once, and build their results unchecked.
 
 `Value` is the base every value type shares: slotted, and closed to every
-attribute write once it is built.
+attribute write once it is built. `interner` hash-conses a family of them:
+one live object per value, so that equality is identity.
 """
 
 from __future__ import annotations
+
+from weakref import ref
+
+# deletes a key only while it maps to a dead reference, in one C call; it
+# is what weakref.WeakValueDictionary removes its dead entries with
+from _weakref import _remove_dead_weakref
 
 __all__ = ["ParseError", "Cursor"]
 
@@ -78,6 +85,46 @@ class Value:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+class _Entry(ref):
+    """A weak reference that carries its table key, as weakref.KeyedRef
+    does; KeyedRef's constructor is Python code, and this one is weakref's
+    own, in C, which makes an entry about three times as cheap."""
+
+    __slots__ = ("key",)
+
+
+def interner(build):
+    """An intern table and its entry point `intern(*key)`, meant to be bound
+    as a classmethod: the one live value with that key (its class first,
+    then its parts), built as build(*key) when there is none.
+
+    The table maps each key to a weak reference to its value, whose callback
+    drops the entry once the value dies, so the table holds the live values
+    and no more. An entry is made with one `dict.setdefault`, so two threads
+    that build one value at once both return the one that was entered.
+    """
+    table: dict = {}
+
+    def forget(entry: _Entry) -> None:
+        _remove_dead_weakref(table, entry.key)
+
+    def intern(*key):
+        entry = table.get(key)
+        if entry is not None:
+            value = entry()
+            if value is not None:
+                return value
+        value = build(*key)
+        entry = _Entry(value, forget)
+        entry.key = key
+        # a dead entry is one whose callback has not run yet
+        while (live := table.setdefault(key, entry)()) is None:
+            _remove_dead_weakref(table, key)
+        return live
+
+    return table, intern
 
 
 class ParseError(ValueError):

@@ -11,9 +11,8 @@ A worm's ranks at all levels form one table, taken in one sweep from the
 top letter down and memoized per letter tuple: going down a level costs one
 w-power step, o(up A) = -1 + w^o(A), not a new tower, and nothing
 recurses: the one-letter worm k builds k ordinals, and every worm ranks in
-constant stack. The steps are memoized by value across worms, so equal
-blocks, in one worm or in two, rank to values that share their exponents
-and compare without descending the towers.
+constant stack. Ordinals are hash-consed, so equal blocks, in one worm or
+in two, rank to one object and compare without descending the towers.
 """
 
 from __future__ import annotations
@@ -108,11 +107,10 @@ def remainder(a: Worm, n: int) -> Worm:
     return Worm._from_checked(a.letters[_cut(a.letters, _level(n)) :])
 
 
-# one entry per distinct letter tuple in `_ranks`, and per distinct stepped
-# value in `_step`: normalizing the 83,130 acceptance presentations fills
-# 341 and 50 entries, and a benchmark run under 140 and 40, so neither
-# evicts; the bound only keeps a long-running process from growing the
-# memos without limit
+# one entry per distinct letter tuple: normalizing the 83,130 acceptance
+# presentations fills 341 entries, and a benchmark run under 140, so the
+# memo never evicts; the bound only keeps a long-running process from
+# growing it without limit
 _RANK_MEMO_SIZE = 1 << 14
 
 
@@ -151,19 +149,8 @@ def _read(run: list, n: int) -> Ordinal:
     # a run's value at level n, paying the steps it owes
     while run[0] > n:
         run[0] -= 1
-        run[1] = _step(run[1])
+        run[1] = omega_power(run[1])
     return run[1]
-
-
-@lru_cache(maxsize=_RANK_MEMO_SIZE)
-def _step(x: Ordinal) -> Ordinal:
-    # w^x, built once per value of x by any sweep of any worm. Only a step
-    # makes a new exponent (a join only adds terms it is given), so equal
-    # values hold one object per exponent: telling them apart, in this
-    # memo, in `add` or in `compare`, meets the exponents' keys by identity
-    # and never descends two towers, and equal blocks in different worms
-    # step to one object
-    return omega_power(x)
 
 
 def ordinal_of(a: Worm, level: int = 0) -> Ordinal:

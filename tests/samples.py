@@ -313,7 +313,7 @@ def recursive_compare(a: Ordinal, b: Ordinal) -> int:
 
     Lexicographic on the term lists, comparing exponents (recursively)
     before coefficients; a proper prefix is smaller. An oracle for the
-    order keys behind `compare`.
+    loop in `compare`, and for the identity equality of interned values.
     """
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         c = recursive_compare(ea, eb)
@@ -412,7 +412,7 @@ def rank_criterion(p: Point, a: Worm) -> bool:
     """The coordinatewise rank criterion with every rank taken afresh: worm a
     holds at p iff ordinal_of(a, n) <= coordinate n for every level n up to
     the worm's max letter + 1. An oracle for `forces_worm`, which takes the
-    ranks once per worm and compares order keys."""
+    ranks once per worm and compares only where rank and coordinate differ."""
     top = (max(a.letters) + 1) if a.letters else 0
     return all(compare(ordinal_of(a, n), p.coord(n)) <= 0 for n in range(top + 1))
 

@@ -144,7 +144,7 @@ def test_reprs():
 def test_equal_formulas_share_hash_and_dict_entry():
     instances = axiom_instances([parse_worm("1"), parse_worm("0.1")], 1)
     copies = [parse_formula(print_formula(f)) for f in instances]
-    assert all(c is not f and c == f and hash(c) == hash(f) for f, c in zip(instances, copies))
+    assert all(c is f and c == f and hash(c) == hash(f) for f, c in zip(instances, copies))
     table = {f: i for i, f in enumerate(instances)}
     assert [table[c] for c in copies] == list(range(len(instances)))
 
@@ -161,8 +161,8 @@ def test_deep_chains_hash_in_constant_stack():
 
 
 def test_separately_built_deep_chains_compare_in_constant_stack():
-    # two copies of each 3000-deep chain, built in loops, and one copy that
-    # differs only at the bottom; the recursion limit is 1000
+    # two builds of each 3000-deep chain, in loops, which are one object, and
+    # one chain that differs only at the bottom; the recursion limit is 1000
     def chain(wrap, bottom):
         f = bottom
         for _ in range(3000):
@@ -171,7 +171,7 @@ def test_separately_built_deep_chains_compare_in_constant_stack():
 
     for wrap in (neg, lambda f: Box(0, f)):
         a, b, other = chain(wrap, Top()), chain(wrap, Top()), chain(wrap, Bottom())
-        assert a is not b and a == b and not a != b
+        assert a is b and a == b and not a != b
         assert {a: 1}.get(b) == 1 and {a: 1, b: 2} == {a: 2}
         assert a != other and {a: 1}.get(other) is None
     boxes, diamonds = chain(lambda f: Box(0, f), Top()), chain(lambda f: Diamond(0, f), Top())

@@ -12,6 +12,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from wormcalc.formula import Bottom, Box, Diamond, Formula, Implies, Top
+from wormcalc.ordinal import Ordinal
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -101,9 +104,10 @@ def test_modules_share_no_private_names_and_one_numeral_rule():
         assert "isdigit(" not in text or path.name == "parsing.py", path.name
 
 
-def test_unchecked_points_and_order_keys_stay_in_their_modules():
-    # only ignatiev.py builds a point past its check, only worm.py a worm,
-    # and only ordinal.py knows what the items of an order key are
+def test_unchecked_points_stay_in_their_modules_and_order_keys_are_gone():
+    # only ignatiev.py builds a point past its check, and only worm.py a
+    # worm. Ordinals and formulas are hash-consed, so equality is identity:
+    # no order key, and no stored hash on an ordinal or a formula node
     sources = sorted((ROOT / "src" / "wormcalc").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     for path in sources:
         if path.name == Path(__file__).name:
@@ -111,8 +115,10 @@ def test_unchecked_points_and_order_keys_stay_in_their_modules():
         text = path.read_text(encoding="utf-8")
         assert "Point._from_checked" not in text or path.name == "ignatiev.py", path.name
         assert "Worm._from_checked" not in text or path.name == "worm.py", path.name
-        subscripts = re.findall(r"\b_key\[|\bkey\[-", text)
-        assert subscripts == [] or path.name == "ordinal.py", (path.name, subscripts)
+        assert re.findall(r"\b_key\b", text) == [], path.name
+    for cls in (Ordinal, Formula, Top, Bottom, Implies, Box, Diamond):
+        slots = {name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())}
+        assert "_hash" not in slots and cls.__hash__ is object.__hash__, cls
 
 
 def test_no_instance_dict_writes():
@@ -151,4 +157,4 @@ def test_memos_are_bounded():
     for module, name in memos:
         memo = getattr(importlib.import_module(f"wormcalc.{module}"), name)
         assert memo.cache_parameters()["maxsize"] is not None, (module, name)
-    assert {name for _, name in memos} >= {"_ranks", "_step", "_views"}
+    assert {name for _, name in memos} >= {"_ranks", "_views"}

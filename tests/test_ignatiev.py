@@ -263,7 +263,9 @@ def test_submodel_refuses_a_max_index_that_is_not_natural():
 
 def test_enumeration_walks_positions_without_comparing_or_checking(monkeypatch):
     # the children of a world are read off the table of last-exponent
-    # positions, and each world, canonical by construction, skips Point's check
+    # positions, and each world, canonical by construction, skips Point's
+    # check; only the universe's sort compares, its own distinct elements,
+    # at most u * ceil(log2 u) times
     compared, checked = [], []
     ordinal_compare, post_init = ordinal.compare, Point.__post_init__
 
@@ -279,8 +281,14 @@ def test_enumeration_walks_positions_without_comparing_or_checking(monkeypatch):
     for module in (ordinal, ignatiev):
         monkeypatch.setattr(module, "compare", counting_compare)
     monkeypatch.setattr(Point, "__post_init__", counting_post_init)
-    models = [enumerate_submodel(universe, max_index) for max_index in range(4)]
-    assert compared == [] and checked == []
+    models = []
+    for max_index in range(4):
+        compared.clear()
+        models.append(enumerate_submodel(universe, max_index))
+        u = len(models[-1].universe)
+        assert 0 < len(compared) <= u * (u - 1).bit_length()
+        assert all(a in models[-1].universe and b in models[-1].universe and a is not b for a, b in compared)
+    assert checked == []
     monkeypatch.undo()
     # the same worlds as the definition gives
     m = models[-1]
@@ -385,7 +393,7 @@ def test_equal_formulas_share_answers():
     m = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
     text = "<0>[1]<0>T -> [2]<1>T"
     f, g = parse_formula(text), parse_formula(text)
-    assert f == g and f is not g
+    assert f == g and f is g
     truth = definitional_truth(m, f)
     for p in m.worlds:
         assert forces(m, p, f).value == forces(m, p, g).value == (p in truth)

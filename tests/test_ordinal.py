@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -159,20 +163,15 @@ def test_parse_ordinal_agrees_with_the_cursor_oracle():
 
 
 def test_parsing_a_sum_builds_it_once(monkeypatch):
-    # a k-term sum is built once, not once per term read so far, whether
-    # through the checked constructor or the unchecked `_from_checked`
+    # a k-term sum is built once, not once per term read so far; the checked
+    # constructor and the unchecked path both end in `_from_checked`
     built = []
-    post_init, from_checked = Ordinal.__post_init__, Ordinal._from_checked.__func__
-
-    def counting(self):
-        post_init(self)
-        built.append(len(self.terms))
+    from_checked = Ordinal._from_checked.__func__
 
     def counting_checked(cls, terms):
         built.append(len(terms))
         return from_checked(cls, terms)
 
-    monkeypatch.setattr(Ordinal, "__post_init__", counting)
     monkeypatch.setattr(Ordinal, "_from_checked", classmethod(counting_checked))
     k = 40
     value = parse_ordinal("+".join(f"w^{i}" for i in range(k - 1, 1, -1)) + "+w+1")
@@ -202,7 +201,8 @@ def _cmp_key(x):
 
 
 def test_cached_hash_and_key_agree_with_structure():
-    # every pair of the sample, the right one a distinct but equal copy
+    # every pair of the sample, the right one reparsed from its print, which
+    # interning makes the one object with that value
     sample = samples.ordinal_sample()
     copies = [parse_ordinal(print_ordinal(x)) for x in sample]
     for a in sample:
@@ -224,13 +224,55 @@ def test_hashing_takes_constant_stack():
     assert hash(tower) == hash(tower)
     assert {tower: 1}[tower] == 1
     assert compare(tower, tower) == 0 and tower == tower
-    # distinct values descend one level of C per level of nesting, as deep
-    # as a recursive compare would
+    # two distinct towers: `compare` loops down both to the first term pair
+    # that is not one object
     low, high = ONE, OMEGA
     for _ in range(600):
         low, high = omega_power(low), omega_power(high)
     assert compare(low, high) == -1 and low < high and low != high
     assert compare(low, hyperexp(600, ONE)) == 0 and low == hyperexp(600, ONE)
+
+
+def test_separately_built_towers_compare_in_constant_stack():
+    # towers of height 5000 and 5001, one of them built twice through the
+    # checked constructor, in a process whose recursion limit is 200
+    script = """
+import sys
+sys.setrecursionlimit(200)
+from wormcalc.ignatiev import Point, forces_worm, least_world
+from wormcalc.ordinal import Ordinal, compare
+from wormcalc.worm import Worm
+
+def tower(height):
+    x = Ordinal()
+    for _ in range(height):
+        x = Ordinal(((x, 1),))
+    return x
+
+low, high, again = tower(5000), tower(5001), tower(5000)
+print(compare(low, high), compare(high, low), compare(low, again))
+print(low == again, low == high, low < high, high < low, low <= again)
+print(sorted([high, again, low]) == [low, low, high])
+print(least_world([low, high]).coords == (Ordinal(((high, 1),)), high))
+worm = Worm((5000,))
+above = Ordinal(((high, 1),))
+print(*[forces_worm(Point.of([t, *worm.ranks[1:]]), worm) for t in (low, high, above)])
+print(forces_worm(Point.of([high]), worm))
+"""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "-1 1 0",
+        "True False True False True",
+        "True",
+        "True",
+        "False True True",
+        "False",
+    ]
 
 
 def test_constructor_refuses_ill_typed_terms():
@@ -243,8 +285,9 @@ def test_constructor_refuses_ill_typed_terms():
     ):
         with pytest.raises(ValueError):
             Ordinal(terms)
-    with pytest.raises(TypeError):
-        Ordinal(((0, 1),))
+    for terms in (((0, 1),), [(ZERO, 1)], iter([(ZERO, 1)]), ([ZERO, 1],)):
+        with pytest.raises(TypeError):
+            Ordinal(terms)
 
 
 def test_compare_agrees_with_polynomial_oracle():

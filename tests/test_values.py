@@ -1,17 +1,24 @@
 """Every value type: slotted, closed to attribute writes once built, and
-copied or pickled as an equal value with the same hash and repr."""
+copied or pickled as an equal value with the same hash and repr; ordinals
+and formulas are hash-consed, so each of their build paths returns the one
+object with its value."""
 
 import copy
+import gc
+import itertools
 import pickle
 import sys
+import threading
 
 import pytest
 
-from wormcalc.formula import Bottom, Box, Diamond, Implies, Top, parse_formula
+import samples
+from wormcalc import formula, ordinal
+from wormcalc.formula import Bottom, Box, Diamond, Implies, Top, parse_formula, print_formula
 from wormcalc.ignatiev import ForcingResult, Point, parse_point
-from wormcalc.ordinal import ZERO, Ordinal, parse_ordinal
+from wormcalc.ordinal import ONE, ZERO, Ordinal, from_int, hyperexp, omega_power, parse_ordinal, print_ordinal
 from wormcalc.spectrum import LimitTheory, Spectrum, TheoryPresentation, normalize, registry
-from wormcalc.worm import TOP, Worm, parse_worm
+from wormcalc.worm import TOP, Worm, ordinal_of, parse_worm, worm_of_ordinal
 
 VALUE_TYPES = {
     Ordinal, Point, Worm, Top, Bottom, Implies, Box, Diamond,
@@ -85,12 +92,71 @@ def test_deep_ordinals_copy_and_pickle_in_constant_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        twins = [copy.copy(tower), copy.deepcopy(tower), pickle.loads(pickle.dumps(tower))]
+        twins = [copy.copy(tower), copy.deepcopy(tower), pickle.loads(pickle.dumps(tower)), hyperexp(1500, ONE)]
     finally:
         sys.setrecursionlimit(limit)
-    assert all(type(twin) is Ordinal and hash(twin) == hash(tower) for twin in twins)
-    # comparing two separately built towers still descends them, so equality
-    # is checked on a lower one
-    lower = Worm((600,)).ranks[0]
-    for twin in (copy.deepcopy(lower), pickle.loads(pickle.dumps(lower))):
-        assert twin is not lower and twin == lower and hash(twin) == hash(lower)
+    # a copy, and the same value built apart, is the one object with that value
+    assert all(twin is tower and twin == tower and hash(twin) == hash(tower) for twin in twins)
+
+
+def test_every_build_path_returns_the_one_object():
+    # identity equality holds only if no build path bypasses the intern table
+    sample = samples.ordinal_sample()
+    for x in sample:
+        builds = (
+            Ordinal(x.terms),
+            parse_ordinal(print_ordinal(x)),
+            ordinal_of(worm_of_ordinal(x)),
+            copy.deepcopy(x),
+            pickle.loads(pickle.dumps(x)),
+        )
+        assert all(y is x for y in builds), x
+    for a, b in itertools.product(sample, repeat=2):
+        assert (a is b) == (samples.recursive_compare(a, b) == 0), (a, b)
+    for f in samples.axiom_instances([parse_worm("1"), parse_worm("0.1")], 1):
+        for g in (parse_formula(print_formula(f)), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g is f, f
+    assert Top() is Top() and Bottom() is Bottom() and Box(0, Top()) is Box(0, Top())
+    # the tables hold the live values only: a fresh value leaves no entry
+    gc.collect()
+    sizes = len(ordinal._ORDINALS), len(formula._FORMULAS)
+    fresh = omega_power(from_int(10**30)), Diamond(10**30, Box(10**30, Top()))
+    assert len(ordinal._ORDINALS) == sizes[0] + 2 and len(formula._FORMULAS) == sizes[1] + 2
+    del fresh
+    gc.collect()
+    assert (len(ordinal._ORDINALS), len(formula._FORMULAS)) == sizes
+
+
+def test_threads_that_build_one_value_share_one_object():
+    # the intern tables are shared: threads that build the same values at
+    # once get one object per value, round after round, while the last
+    # thread to drop a round's values frees them as the others rebuild them
+    count, rounds = 4, 60
+    barrier = threading.Barrier(count, timeout=60)
+    shared: list = [None] * count
+    split, finished = [], []
+
+    def work(t):
+        for r in range(rounds):
+            mine = [omega_power(from_int(10**20 + i)) for i in range(100)]
+            mine += [Box(i, Diamond(10**20, Top())) for i in range(100)]
+            shared[t] = mine
+            barrier.wait()
+            if any(x is not y for x, y in zip(mine, shared[0])):
+                split.append(r)
+            barrier.wait()
+            mine = shared[t] = None
+        finished.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == list(range(count)) and split == []

@@ -29,7 +29,6 @@ from wormcalc.worm import (
     TOP,
     Worm,
     _ranks,
-    _step,
     compare_worms,
     head,
     ordinal_of,
@@ -160,10 +159,9 @@ def test_parsed_and_canonical_worms_match_constructed_ones():
 
 
 def test_rank_memo_is_bounded():
-    # finite, and far above the 341 and 50 entries the acceptance family fills
-    for memo in (_ranks, _step):
-        info = memo.cache_info()
-        assert info.maxsize is not None and info.maxsize >= 10_000
+    # finite, and far above the 341 entries the acceptance family fills
+    info = _ranks.cache_info()
+    assert info.maxsize is not None and info.maxsize >= 10_000
 
 
 def test_ranks_agree_with_the_recursive_oracle():
@@ -202,7 +200,6 @@ def test_single_letter_ranks_build_one_ordinal_per_level(monkeypatch):
         return build(cls, terms)
 
     _ranks.cache_clear()
-    _step.cache_clear()
     monkeypatch.setattr(Ordinal, "_from_checked", classmethod(counted))
     assert len(Worm((2000,)).ranks) == 2002
     assert len(built) <= 2001
@@ -225,11 +222,10 @@ def test_ranks_take_constant_stack():
     script = f"""
 import sys
 sys.setrecursionlimit(200)
-from wormcalc.worm import Worm, _ranks, _step, ordinal_of
+from wormcalc.worm import Worm, _ranks, ordinal_of
 for letters, _ in {DEEP_WORMS!r}:
     ranks = Worm(letters).ranks
     _ranks.cache_clear()
-    _step.cache_clear()
     x = ordinal_of(Worm(letters))
     print(len(x.terms), x.terms[0][1], len(ranks))
 # equal blocks share one value across worms too, even once the rank memo
