@@ -12,7 +12,8 @@ output may depend on the order of a set of ordinals. `compare` is a loop
 that stops at the first term pair that is not one object, so it, and so
 everything that orders ordinals, takes constant stack at any nesting.
 Copies and pickles go through a flat table of sub-ordinals, so they too
-take constant stack.
+take constant stack. `parse_ordinal` parses each distinct text once per
+process, from a bounded memo that keeps its interned result alive.
 
 Provided operations are the ones the worm calculus needs: comparison,
 (non-commutative) addition, w-powers, the last-exponent map and the
@@ -22,7 +23,7 @@ scope.
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .parsing import Cursor, ParseError, Value, are_numerals, interner, is_natural
 
@@ -245,6 +246,22 @@ def hyperexp(n: int, x: Ordinal) -> Ordinal:
 
 
 def parse_ordinal(text: str) -> Ordinal:
+    """The ordinal a CNF text spells, around optional whitespace.
+
+    Each distinct text is parsed once per process, from a bounded memo that
+    holds, and so keeps alive, the one interned ordinal. A text that fails
+    to parse keeps nothing, and a non-string is refused.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"ordinal text {text!r} is not a string")
+    return _parsed_ordinal(text)
+
+
+# one entry per distinct text: a `kripke` benchmark pass reads 1,077
+# universe texts, 37 of them distinct, so the memo never evicts there; the
+# bound only keeps a long-running process from growing it without limit
+@lru_cache(maxsize=1 << 12)
+def _parsed_ordinal(text: str) -> Ordinal:
     text = text.strip()
     # a plain numeral, the whole of a chain universe, needs no scan and no
     # second check; "00", other scripts' digits and the rest go through the

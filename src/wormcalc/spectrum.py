@@ -28,7 +28,7 @@ from typing import Mapping, Union
 from .ignatiev import Point, least_world, print_point, valid_point
 from .ordinal import ZERO, Ordinal, from_int, omega_power, parse_ordinal, print_ordinal
 from .parsing import Value, are_numerals, is_natural
-from .worm import Worm, _worm_of, ordinal_of, parse_worm, print_worm, worm_of_ordinal
+from .worm import Worm, _worm_of, parse_worm, print_worm, worm_of_ordinal
 
 __all__ = [
     "TheoryPresentation",
@@ -199,14 +199,18 @@ def normalize(t: TheoryPresentation) -> Spectrum:
     """Collapse a presentation to its unique point of the universal model.
 
     Coordinate n is first the rank of the stored level-n worm (a level-n
-    progression only sees that worm's level-n head). The union of the
-    progressions is the least world at or above those ranks, which
+    progression only sees that worm's level-n head), read straight from the
+    worm's rank table, `Worm.ranks`: the levels were checked when the
+    presentation was built, and a worm parsed from a text seen before is
+    the one shared worm whose table is already in its slot. The union of
+    the progressions is the least world at or above those ranks, which
     `least_world` takes. Levels above the highest nonzero rank are never
     visited.
     """
     coords = []
     for n, w in t.entries:
-        x = ordinal_of(w, n)
+        ranks = w.ranks
+        x = ranks[n] if n < len(ranks) else ZERO
         if x.terms:
             coords += [ZERO] * (n - len(coords)) + [x]
     return Spectrum(least_world(coords))

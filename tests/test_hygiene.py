@@ -5,6 +5,7 @@ names, formats that one module alone decodes, and memos that are bounded."""
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -157,4 +158,8 @@ def test_memos_are_bounded():
     for module, name in memos:
         memo = getattr(importlib.import_module(f"wormcalc.{module}"), name)
         assert memo.cache_parameters()["maxsize"] is not None, (module, name)
-    assert {name for _, name in memos} >= {"_ranks", "_views"}
+    assert {name for _, name in memos} >= {"_ranks", "_views", "_parsed_worm", "_parsed_ordinal", "_parsed_formula"}
+    # the parsers stay plain functions in front of their memos, so the
+    # bench tracer, which wraps only functions, still sees each call
+    for module, name in (("worm", "parse_worm"), ("ordinal", "parse_ordinal"), ("formula", "parse_formula")):
+        assert inspect.isfunction(getattr(importlib.import_module(f"wormcalc.{module}"), name)), name

@@ -454,10 +454,11 @@ def test_worm_ranks_are_taken_once_per_worm():
     texts = ("0", "1.0", "2", "0.1.2", "2.1", "1.1", "2.1")
     assert len(m.worlds) == 10
     # at most one miss per distinct letter tuple, and none for fresh objects
-    # whose letters were seen before
+    # whose letters were seen before; fresh objects are built directly, since
+    # parsing a text again hands back the worm it gave the first time
     for most_misses in (len(set(texts)), 0):
         before = worm._ranks.cache_info()
-        worms = [parse_worm(t) for t in texts]
+        worms = [Worm(tuple(map(int, t.split(".")))) for t in texts]
         for p in m.worlds:
             for a in worms:
                 forces_worm(p, a)
@@ -465,6 +466,21 @@ def test_worm_ranks_are_taken_once_per_worm():
         misses = after.misses - before.misses
         assert after.hits - before.hits + misses == len(worms)
         assert misses <= most_misses
+
+    # the same texts parsed a second time are the worms of the first parse,
+    # whose ranks are in their slots already: no lookup at all
+    first = [parse_worm(t) for t in texts]
+    for p in m.worlds:
+        for a in first:
+            forces_worm(p, a)
+    before = worm._ranks.cache_info()
+    again = [parse_worm(t) for t in texts]
+    assert all(a is b for a, b in zip(again, first))
+    for p in m.worlds:
+        for a in again:
+            forces_worm(p, a)
+    after = worm._ranks.cache_info()
+    assert after.hits - before.hits + after.misses - before.misses == 0
 
     # forces and validity_check answer with the same values a fresh
     # ForcingResult holds, on an exact fragment and on one that is not
