@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .parsing import Cursor, ParseError, Value, interner, is_natural
+from .parsing import Cursor, ParseError, Value, interner, is_natural, post_order
 from .worm import Worm
 
 __all__ = [
@@ -44,6 +44,22 @@ __all__ = [
 class Formula(Value):
     __slots__ = ()
     __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __reduce__(self):
+        """Copy and pickle through a flat table, in constant stack, as
+        `Ordinal.__reduce__` does.
+
+        Each distinct subformula is one row, parts before the formulas that
+        use them: its class, then its fields, each part named by its row
+        number; the last row is this formula. `_from_table` rebuilds the
+        rows in order through the public constructors, so a copy or an
+        unpickled formula passes their checks and is the one object with
+        its value."""
+        row_of = post_order(self, lambda f: [x for x in f._fields() if isinstance(x, Formula)])
+        rows = tuple(
+            (type(f), *[row_of[x] if isinstance(x, Formula) else x for x in f._fields()]) for f in row_of
+        )
+        return _from_table, (rows,)
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -127,6 +143,18 @@ def _build(cls: type, first, second) -> Formula:
 
 _FORMULAS, _intern = interner(_build)
 Implies._from_checked = _Modal._from_checked = classmethod(_intern)
+
+
+def _from_table(rows: tuple[tuple, ...]) -> Formula:
+    # the inverse of Formula.__reduce__: every row through its constructor
+    built: list[Formula] = []
+    for cls, *fields in rows:
+        if cls is Implies:
+            fields = map(built.__getitem__, fields)
+        elif fields:
+            fields[1] = built[fields[1]]
+        built.append(cls(*fields))
+    return built[-1]
 
 
 def neg(f: Formula) -> Formula:

@@ -11,9 +11,10 @@ underapproximated. Evaluation builds one truth vector over the worlds per
 subformula, so it costs O(|W|*|f|) whatever the nesting depth. A fragment
 evaluates each distinct formula it is asked about once: the first query
 costs O(|W|*|f|) and checks the modal indices in the same walk, the same
-formula at each further world costs O(1), since a point carries the hash
-taken when it was built and a formula, hash-consed, hashes by identity;
-the vectors live as long as the model.
+formula at each further world costs O(1): the fragment finds the world by
+its coordinate tuple and the vector by the formula, and both keys hash in
+C, since ordinals and formulas are hash-consed and hash by identity; the
+vectors live as long as the model.
 
 `least_world` is the model's join: the coordinatewise least world at or
 above any finite list of ordinals. `spectrum.normalize` places a
@@ -87,12 +88,11 @@ class Point(Value):
 
     Canonical support: the final stored coordinate is nonzero unless the
     point is the root, stored as the single coordinate 0. Equal points are
-    therefore structurally identical. The hash is taken once, from the
-    coordinates' identities, when the point is built.
+    therefore structurally identical, and the coordinate tuple, whose
+    ordinals hash by identity, is a key for the point that hashes in C.
     """
 
-    __slots__ = ("coords", "_hash")
-    __match_args__ = ("coords",)
+    __slots__ = __match_args__ = ("coords",)
 
     def __init__(self, coords: tuple[Ordinal, ...]):
         _set_coords(self, coords)
@@ -106,7 +106,6 @@ class Point(Value):
             raise ValueError("a point stores at least one coordinate")
         if len(coords) > 1 and coords[-1].is_zero:
             raise ValueError("non-canonical point: trailing zero coordinate")
-        _set_point_hash(self, hash(coords))
 
     @classmethod
     def _from_checked(cls, coords: tuple[Ordinal, ...]) -> "Point":
@@ -114,11 +113,7 @@ class Point(Value):
         built without running __post_init__'s check again."""
         point = object.__new__(cls)
         _set_coords(point, coords)
-        _set_point_hash(point, hash(coords))
         return point
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def of(cls, coords: Iterable[Ordinal]) -> "Point":
@@ -142,7 +137,7 @@ class Point(Value):
         return f"Point({print_point(self)!r})"
 
 
-_set_coords, _set_point_hash = Point.coords.__set__, Point._hash.__set__
+_set_coords = Point.coords.__set__
 
 
 def parse_coords(text: str) -> tuple[Ordinal, ...]:
@@ -292,7 +287,8 @@ class FiniteSubmodel:
         # one all-empty column, and render_dot stops before them
         self._depth = len(spans)
         self._spans = spans + (((0, 0, 0),) * len(self.worlds),) * (max_index + 1 - len(spans))
-        self._index = {p: i for i, p in enumerate(self.worlds)}
+        # each world's position, keyed by its coordinates
+        self._index = {p.coords: i for i, p in enumerate(self.worlds)}
         # truth vectors of the formulas queried so far; subformula vectors are
         # not kept, so a one-shot query on a large fragment holds just one
         self._vectors: dict[fm.Formula, list[bool]] = {}
@@ -329,7 +325,7 @@ class FiniteSubmodel:
         return tuple(worlds), tuple(zip_longest(*rows, fillvalue=(0, 0, 0)))
 
     def _position(self, p: Point) -> int:
-        i = self._index.get(p)
+        i = self._index.get(p.coords) if isinstance(p, Point) else None
         if i is None:
             raise PointNotInModelError(f"{p} is not a world of {self!r}")
         return i
@@ -354,7 +350,7 @@ class FiniteSubmodel:
         return sum(c - a for a, _, c in spans) if n < self._depth else 0
 
     def __contains__(self, p: Point) -> bool:
-        return p in self._index
+        return isinstance(p, Point) and p.coords in self._index
 
     def __repr__(self) -> str:
         return (
@@ -440,7 +436,7 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     """
     # the lookups inline; the helpers run only on a miss, to raise or to
     # build the vector
-    i = m._index.get(p)
+    i = m._index.get(p.coords) if p.__class__ is Point else None
     if i is None:
         i = m._position(p)
     vector = m._vectors.get(f)
@@ -492,7 +488,7 @@ def render_dot(
     for p, label in (labels or {}).items():
         if p not in m:
             raise PointNotInModelError(f"label {label!r}: {p} is not a world of {m!r}")
-        named[m._index[p]] = _dot_escaped(label)
+        named[m._index[p.coords]] = _dot_escaped(label)
     lines = ["digraph ignatiev {", "  node [shape=box];"]
     # print_point of each world, with each universe element printed once
     printed = {u: print_ordinal(u) for u in m.universe}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 
-from .parsing import Cursor, ParseError, Value, are_numerals, interner, is_natural
+from .parsing import Cursor, ParseError, Value, are_numerals, interner, is_natural, post_order
 
 __all__ = [
     "Ordinal",
@@ -106,20 +106,8 @@ class Ordinal(Value):
         the last row is this ordinal. `_from_table` rebuilds the rows in
         order through the public constructor, so a copy or an unpickled
         value passes its checks and is the one object with its value."""
-        rows: list[tuple[tuple[int, int], ...]] = []
-        row_of: dict[Ordinal, int] = {}
-        stack = [self]
-        while stack:
-            x = stack[-1]
-            pending = [e for e, _ in x.terms if e not in row_of]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            if x not in row_of:
-                row_of[x] = len(rows)
-                rows.append(tuple((row_of[e], c) for e, c in x.terms))
-        return _from_table, (tuple(rows),)
+        row_of = post_order(self, lambda x: [e for e, _ in x.terms])
+        return _from_table, (tuple(tuple((row_of[e], c) for e, c in x.terms) for x in row_of),)
 
     def __str__(self) -> str:
         return print_ordinal(self)

@@ -9,7 +9,9 @@ their inputs with these, once, and build their results unchecked.
 
 `Value` is the base every value type shares: slotted, and closed to every
 attribute write once it is built. `interner` hash-conses a family of them:
-one live object per value, so that equality is identity.
+one live object per value, so that equality is identity. `post_order`
+lists the distinct nodes of such a value in constant stack, which is how
+ordinals and formulas copy and pickle through a flat table.
 """
 
 from __future__ import annotations
@@ -125,6 +127,27 @@ def interner(build):
         return live
 
     return table, intern
+
+
+def post_order(root, children) -> dict:
+    """The distinct nodes of root, each mapped to its place in post-order:
+    every node comes after the nodes children(node) names, and root is last.
+
+    The nodes still to visit wait on a stack, so any depth takes constant
+    stack; nodes are told apart by hash and equality, which for hash-consed
+    values is identity, so a shared node is listed once."""
+    order: dict = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        pending = [child for child in children(node) if child not in order]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        if node not in order:
+            order[node] = len(order)
+    return order
 
 
 class ParseError(ValueError):

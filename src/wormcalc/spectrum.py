@@ -8,10 +8,13 @@ per-level proof-theoretic ordinals of the presented theory. It ranks each
 stored worm at its level and takes the least world at or above those
 ranks, `ignatiev.least_world`.
 
-A spectrum's JSON shows each coordinate twice: as CNF text, and as the
-canonical worm that denotes it at its level. Both strings of a coordinate
-are read from one bounded memo keyed by (coordinate, level), so each
-distinct pair is printed once per process, however many spectra share it.
+Many presentations share one point, so both per-point steps run once per
+distinct point from bounded memos keyed by tuples of ordinals. Ordinals are
+hash-consed, so such a tuple hashes and compares by identity, in C. The
+join runs once per distinct rank tuple, and every presentation with those
+ranks gets the one shared, immutable `Spectrum`. A spectrum's JSON shows
+each coordinate twice: as CNF text, and as the canonical worm that denotes
+it at its level; both lists of strings are made once per distinct point.
 
 Conservation between two theories reads off directly: the largest level at
 which the two points still agree.
@@ -158,15 +161,11 @@ class Spectrum(Value):
         """{"coords": [CNF text], "worms": [canonical worm text]}, one item
         per stored coordinate; worm n denotes coordinate n at level n.
 
-        The strings come from the (coordinate, level) memo `_views`; the
-        lists and the dict are new on every call, so a caller may change
+        The strings come from `_views`, one memo entry per distinct point;
+        the lists and the dict are new on every call, so a caller may change
         them."""
-        coords, worms = [], []
-        for n, c in enumerate(self.point.coords):
-            text, worm = _views(c, n)
-            coords.append(text)
-            worms.append(worm)
-        return {"coords": coords, "worms": worms}
+        coords, worms = _views(self.point.coords)
+        return {"coords": list(coords), "worms": list(worms)}
 
     @classmethod
     def from_json(cls, data: Union[str, dict]) -> "Spectrum":
@@ -184,15 +183,18 @@ class Spectrum(Value):
 _set_point = Spectrum.point.__set__
 
 
-# the 83,130 acceptance presentations have 271 distinct (coordinate, level)
-# pairs, and a benchmark worker meets 124, so the memo never evicts; the
-# bound only keeps a long-running process from growing it without limit
+# the 83,130 acceptance presentations have 753 distinct points, and a
+# benchmark worker meets about 246, so the memo never evicts; the bound only
+# keeps a long-running process from growing it without limit
 @lru_cache(maxsize=1 << 12)
-def _views(c: Ordinal, n: int) -> tuple[str, str]:
-    # coordinate c as CNF text, and its canonical worm at level n as text;
-    # only immutable strings are kept
-    letters = _worm_of(c, n)
-    return print_ordinal(c), ".".join(map(str, letters)) if letters else "T"
+def _views(coords: tuple[Ordinal, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    # each coordinate as CNF text, and coordinate n's canonical worm at
+    # level n as text; only immutable tuples of strings are kept
+    worms = []
+    for n, c in enumerate(coords):
+        letters = _worm_of(c, n)
+        worms.append(".".join(map(str, letters)) if letters else "T")
+    return tuple(map(print_ordinal, coords)), tuple(worms)
 
 
 def normalize(t: TheoryPresentation) -> Spectrum:
@@ -204,8 +206,9 @@ def normalize(t: TheoryPresentation) -> Spectrum:
     presentation was built, and a worm parsed from a text seen before is
     the one shared worm whose table is already in its slot. The union of
     the progressions is the least world at or above those ranks, which
-    `least_world` takes. Levels above the highest nonzero rank are never
-    visited.
+    `least_world` takes once per distinct rank tuple: presentations with
+    equal ranks get one shared, immutable `Spectrum`. Levels above the
+    highest nonzero rank are never visited.
     """
     coords = []
     for n, w in t.entries:
@@ -213,7 +216,15 @@ def normalize(t: TheoryPresentation) -> Spectrum:
         x = ranks[n] if n < len(ranks) else ZERO
         if x.terms:
             coords += [ZERO] * (n - len(coords)) + [x]
-    return Spectrum(least_world(coords))
+    return _spectrum_of_ranks(tuple(coords))
+
+
+# the 83,130 acceptance presentations have 2,194 distinct rank tuples, and a
+# benchmark worker meets about 640, so the memo never evicts; the bound only
+# keeps a long-running process from growing it without limit
+@lru_cache(maxsize=1 << 12)
+def _spectrum_of_ranks(ranks: tuple[Ordinal, ...]) -> Spectrum:
+    return Spectrum(least_world(ranks))
 
 
 class LimitTheory(Value):

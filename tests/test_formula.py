@@ -208,6 +208,29 @@ print(max_modality(formula_of_worm(Worm((0,) * 4999 + (3,)))))
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "3\n")
 
 
+def test_deep_formulas_copy_and_pickle_in_constant_stack():
+    # 3000-deep box and negation chains, built in loops, and a formula that
+    # shares them; a copy is the one interned object
+    script = """
+import copy, pickle, sys
+from wormcalc.formula import Box, Diamond, Implies, Top, neg
+boxes, negations = Top(), Top()
+for _ in range(3000):
+    boxes, negations = Box(0, boxes), neg(negations)
+both = Implies(Diamond(1, boxes), Implies(negations, boxes))
+sys.setrecursionlimit(200)
+for f in (boxes, negations, both):
+    twins = copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))
+    print(all(twin is f for twin in twins))
+"""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\nTrue\nTrue\n")
+
+
 def test_axiom_instances_examples():
     pool = [TOP]
     instances = axiom_instances(pool, 1)

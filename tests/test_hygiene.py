@@ -158,7 +158,8 @@ def test_memos_are_bounded():
     for module, name in memos:
         memo = getattr(importlib.import_module(f"wormcalc.{module}"), name)
         assert memo.cache_parameters()["maxsize"] is not None, (module, name)
-    assert {name for _, name in memos} >= {"_ranks", "_views", "_parsed_worm", "_parsed_ordinal", "_parsed_formula"}
+    required = {"_ranks", "_views", "_spectrum_of_ranks", "_parsed_worm", "_parsed_ordinal", "_parsed_formula"}
+    assert {name for _, name in memos} >= required
     # the parsers stay plain functions in front of their memos, so the
     # bench tracer, which wraps only functions, still sees each call
     for module, name in (("worm", "parse_worm"), ("ordinal", "parse_ordinal"), ("formula", "parse_formula")):

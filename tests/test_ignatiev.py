@@ -40,6 +40,7 @@ from wormcalc.ignatiev import (
     validity_check,
 )
 from wormcalc.ordinal import ONE, ZERO, compare, from_int, last_exponent, omega_power, parse_ordinal
+from wormcalc.spectrum import Spectrum
 from wormcalc.worm import TOP, Worm, head, ordinal_of, parse_worm, remainder
 
 W = parse_ordinal("w")
@@ -345,6 +346,22 @@ def test_successors_reject_relations_outside_the_fragment():
     with pytest.raises(PointNotInModelError) as by_successors:
         m.successors(0, outside)
     assert str(by_successors.value) == str(by_forces.value)
+
+
+def test_values_that_are_not_points_are_no_worlds():
+    # the fragment finds worlds by their coordinate tuples; a world's tuple,
+    # its spectrum, text and an unhashable list are still no points
+    m = enumerate_submodel(finite_universe(2), 1)
+    world = Point.of([from_int(2)])
+    assert world in m and forces(m, world, Top()).value
+    for other in (world.coords, Spectrum(world), print_point(world), None, 2, [from_int(2)]):
+        assert other not in m
+        with pytest.raises(PointNotInModelError, match="is not a world"):
+            forces(m, other, Top())
+        with pytest.raises(PointNotInModelError, match="is not a world"):
+            m.successors(0, other)
+    with pytest.raises(PointNotInModelError, match="is not a world"):
+        render_dot(m, labels={world.coords: "tuple"})
 
 
 def test_validity_examples():

@@ -291,6 +291,22 @@ def test_json_views_keep_nothing_from_a_failed_print(capsys):
     assert (after.misses, after.currsize) == (info.misses + 1, info.currsize)
 
 
+def test_a_refused_print_keeps_no_view_and_joins_once(capsys):
+    # the join is a loop and succeeds; only printing its 1200-high tower
+    # fails. The failed print keeps no view, and the join's one entry is the
+    # exact spectrum, which a second refusal reads instead of joining again
+    spectrum._spectrum_of_ranks.cache_clear()
+    spectrum._views.cache_clear()
+    for _ in range(2):
+        assert main(["spectrum", '{"entries":{"1200":"1200"}}']) == 2
+        assert capsys.readouterr().err.startswith("error: input nested too deeply")
+    joins, views = spectrum._spectrum_of_ranks.cache_info(), spectrum._views.cache_info()
+    assert (views.hits, views.misses, views.currsize) == (0, 2, 0)
+    assert (joins.hits, joins.misses, joins.currsize) == (1, 1, 1)
+    t = TheoryPresentation.from_json('{"entries":{"1200":"1200"}}')
+    assert normalize(t) == samples.normalize_oracle(t)
+
+
 def test_json_views_match_the_oracle_from_a_cleared_memo():
     spectra = [normalize(TheoryPresentation.of({n: a})) for n in range(4) for a in samples.all_worms(4, 3)]
     spectrum._views.cache_clear()
@@ -299,6 +315,49 @@ def test_json_views_match_the_oracle_from_a_cleared_memo():
         for s in spectra:
             assert s.to_json() == samples.spectrum_json_oracle(s), s
     assert spectrum._views.cache_info().hits > 0
+
+
+def test_spectrum_memos_match_the_oracles_from_cleared_memos():
+    # every single-level presentation over worms of length <= 4 and letters
+    # <= 3, and every two-level one over worms of length <= 2 and letters <= 2
+    pool = samples.all_worms(2, 2)
+    family = [TheoryPresentation.of({n: a}) for n in range(4) for a in samples.all_worms(4, 3)]
+    family += [
+        TheoryPresentation.of({low: a, high: b})
+        for low, high in itertools.combinations(range(4), 2)
+        for a in pool
+        for b in pool
+    ]
+    memos = (spectrum._spectrum_of_ranks, spectrum._views)
+    for memo in memos:
+        memo.cache_clear()
+    # the first pass fills both memos, the second only reads them
+    for filling in (True, False):
+        before = [memo.cache_info() for memo in memos]
+        for t in family:
+            s = normalize(t)
+            expected = samples.normalize_oracle(t)
+            assert s == expected, t
+            assert s.to_json() == samples.spectrum_json_oracle(expected), t
+        for memo, info in zip(memos, before):
+            after = memo.cache_info()
+            assert after.hits + after.misses - info.hits - info.misses == len(family)
+            assert (after.misses > info.misses) is filling
+            assert after.currsize == after.misses
+
+
+def test_presentations_with_equal_ranks_share_one_spectrum():
+    # "1" and "1.0" have one level-1 head, and T ranks 0 at level 0, so all
+    # three rank to (0, 1)
+    texts = ('{"entries":{"1":"1"}}', '{"entries":{"1":"1.0"}}', '{"entries":{"0":"T","1":"1.0"}}')
+    first, *others = [normalize(TheoryPresentation.from_json(text)) for text in texts]
+    assert all(s is first for s in others)
+    assert first.to_json() == {"coords": ["w", "1"], "worms": ["1", "1"]}
+    # other ranks with the same least world: an equal spectrum, one view
+    size = spectrum._views.cache_info().currsize
+    assert normalize(TheoryPresentation.from_json('{"entries":{"0":"1","1":"1"}}')) == first
+    assert first.to_json() == {"coords": ["w", "1"], "worms": ["1", "1"]}
+    assert spectrum._views.cache_info().currsize == size
 
 
 def test_conservation_examples():
