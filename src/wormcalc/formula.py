@@ -3,16 +3,25 @@
 The semantic core is falsum, implication and the indexed box/diamond;
 negation, conjunction and disjunction are surface sugar expanded at parse
 time and recovered by the printer. Diamonds stay primitive so the model
-checker can use the existential clause directly. Formulas are hash-consed,
-and `parse_formula` parses each distinct text once per process, from a
-bounded memo that keeps its interned result alive.
+checker can use the existential clause directly.
+
+Formulas are hash-consed (`parsing.Interned`): Implies, Box and Diamond
+nodes are interned by their class and parts, and Top and Bottom are
+singletons, so two equal formulas are one object. Equality is identity and
+the hash is object's, so both take constant stack however deep the
+formula. The public constructors check the parts and build through
+`_from_checked`, which the parser, the sugar and `formula_of_worm` call
+directly: their parts are formulas already, or are checked once on the way
+in. A worm keeps its formula in its `formula` slot, and `parse_formula`
+parses each distinct text once per process, from a bounded memo that keeps
+its interned result alive.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .parsing import Cursor, ParseError, Value, interner, is_natural, post_order
+from .parsing import Cursor, Interned, ParseError, is_natural, post_order
 from .worm import Worm
 
 __all__ = [
@@ -32,18 +41,8 @@ __all__ = [
 ]
 
 
-# Formulas are hash-consed: Implies, Box and Diamond nodes are interned by
-# (type, parts), and Top and Bottom are singletons, so two equal formulas
-# are one object. Equality is identity and the hash is object's, so both
-# take constant stack however deep the formula. The public constructors
-# check the parts and build through `_from_checked`, which the parser, the
-# sugar and `formula_of_worm` call directly: their parts are formulas
-# already, or are checked once on the way in.
-
-
-class Formula(Value):
+class Formula(Interned):
     __slots__ = ()
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __reduce__(self):
         """Copy and pickle through a flat table, in constant stack, as
@@ -89,8 +88,7 @@ def _formula(part: object) -> Formula:
 
 
 class Implies(Formula):
-    __slots__ = ("left", "right", "__weakref__")
-    __match_args__ = ("left", "right")
+    __slots__ = __match_args__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
         return cls._from_checked(_formula(left), _formula(right))
@@ -102,8 +100,7 @@ class Implies(Formula):
 class _Modal(Formula):
     """The shared shape of Box and Diamond: a natural-number index and a body."""
 
-    __slots__ = ("index", "body", "__weakref__")
-    __match_args__ = ("index", "body")
+    __slots__ = __match_args__ = ("index", "body")
 
     def __new__(cls, index: int, body: Formula):
         if not is_natural(index):
@@ -123,26 +120,6 @@ class Diamond(_Modal):
 
     def __repr__(self):
         return f"Diamond({self.index}, {self.body!r})"
-
-
-_set_left, _set_right = Implies.left.__set__, Implies.right.__set__
-_set_index, _set_body = _Modal.index.__set__, _Modal.body.__set__
-
-
-def _build(cls: type, first, second) -> Formula:
-    # a new node, its parts set through the slots' own setters
-    node = object.__new__(cls)
-    if cls is Implies:
-        _set_left(node, first)
-        _set_right(node, second)
-    else:
-        _set_index(node, first)
-        _set_body(node, second)
-    return node
-
-
-_FORMULAS, _intern = interner(_build)
-Implies._from_checked = _Modal._from_checked = classmethod(_intern)
 
 
 def _from_table(rows: tuple[tuple, ...]) -> Formula:
@@ -170,10 +147,18 @@ def disj(f: Formula, g: Formula) -> Formula:
 
 
 def formula_of_worm(a: Worm) -> Formula:
-    f: Formula = Top()
-    for letter in reversed(a.letters):
-        f = Diamond._from_checked(letter, f)
+    """The worm as a formula, a chain of diamonds over Top, built on the
+    first call and kept in the worm's `formula` slot while the worm lives."""
+    f = getattr(a, "formula", None)
+    if f is None:
+        f = Top()
+        for letter in reversed(a.letters):
+            f = Diamond._from_checked(letter, f)
+        _set_formula(a, f)
     return f
+
+
+_set_formula = Worm.formula.__set__
 
 
 def max_modality(f: Formula) -> int:

@@ -4,11 +4,13 @@ An ordinal is a finite sum w^e1*c1 + ... + w^ek*ck with ordinal exponents
 e1 > e2 > ... > ek and positive integer coefficients; the empty sum is 0.
 Canonical form is unique, so structural equality decides ordinal equality.
 
-Values are hash-consed: every build, by the constructor, the parser, the
-arithmetic, a copy or an unpickling, returns the one live object with its
-terms, from a weak intern table. Equality is identity and the hash is
-object's, so a hash is not stable from one process to the next and no
-output may depend on the order of a set of ordinals. `compare` is a loop
+Values are hash-consed (`parsing.Interned`): every build, by the
+constructor, the parser, the arithmetic, a copy or an unpickling, returns
+the one live object with its terms. Equality is identity and the hash is
+object's, so no output may depend on the order of a set of ordinals.
+`add`, `compare` and `last_exponent` take their ordinals unchecked;
+`omega_power` and `hyperexp`, which would otherwise intern a value built
+around a non-Ordinal, refuse one with `TypeError`. `compare` is a loop
 that stops at the first term pair that is not one object, so it, and so
 everything that orders ordinals, takes constant stack at any nesting.
 Copies and pickles go through a flat table of sub-ordinals, so they too
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 
-from .parsing import Cursor, ParseError, Value, are_numerals, interner, is_natural, post_order
+from .parsing import Cursor, Interned, ParseError, are_numerals, is_natural, post_order
 
 __all__ = [
     "Ordinal",
@@ -44,7 +46,7 @@ __all__ = [
 
 
 @total_ordering
-class Ordinal(Value):
+class Ordinal(Interned):
     """Cantor normal form: a tuple of (exponent, coefficient) terms.
 
     Instances are immutable and the constructor validates its terms, so any
@@ -53,13 +55,11 @@ class Ordinal(Value):
     Exponents are themselves Ordinals; coefficients are positive ints (not
     bools). The empty term tuple is 0.
 
-    Both ways in end in one intern table, so two equal values are one
+    Both ways in end in the one intern table, so two equal values are one
     object: equality is identity, and the hash is object's.
     """
 
-    __slots__ = ("terms", "__weakref__")
-    __match_args__ = ("terms",)
-    __eq__, __hash__ = object.__eq__, object.__hash__
+    __slots__ = __match_args__ = ("terms",)
 
     def __new__(cls, terms: tuple[tuple["Ordinal", int], ...] = ()):
         # the terms are the intern key: an iterator would be read up here
@@ -116,23 +116,6 @@ class Ordinal(Value):
         return f"Ordinal({print_ordinal(self)!r})"
 
 
-_set_terms = Ordinal.terms.__set__
-
-
-def _build(cls: type, terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
-    # the slot's own setter: object.__setattr__ would look the name up
-    # again, and the refusing __setattr__ is in the way of a plain write
-    x = object.__new__(cls)
-    _set_terms(x, terms)
-    return x
-
-
-# an ordinal of terms already known to be canonical, found in the table or
-# entered there without running the constructor's checks again
-_ORDINALS, _intern = interner(_build)
-Ordinal._from_checked = classmethod(_intern)
-
-
 def _from_table(rows: tuple[tuple[tuple[int, int], ...], ...]) -> Ordinal:
     # the inverse of Ordinal.__reduce__: every row through the constructor
     built: list[Ordinal] = []
@@ -159,7 +142,8 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     coefficients; a proper prefix is smaller. Equal values are one object,
     so the first term pair that differs decides: by its coefficients if its
     exponents are one object, else by its exponents, which the loop goes on
-    to compare. So any height takes constant stack.
+    to compare. So any height takes constant stack. Both arguments are
+    taken unchecked: a non-Ordinal raises `AttributeError`.
     """
     while a is not b:
         x, y = a.terms, b.terms
@@ -180,7 +164,10 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Ordinal sum a + b; terms of a below the leading exponent of b are absorbed."""
+    """Ordinal sum a + b; terms of a below the leading exponent of b are absorbed.
+
+    Both arguments are taken unchecked: a non-Ordinal raises
+    `AttributeError`, except that a + 0 returns a as it is."""
     if not b.terms:
         return a
     if not a.terms:
@@ -197,6 +184,8 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
 
 def omega_power(e: Ordinal) -> Ordinal:
     """w^e as a single-term canonical ordinal (w^0 = 1)."""
+    if not isinstance(e, Ordinal):
+        raise TypeError(f"exponent {e!r} is not an Ordinal")
     return Ordinal._from_checked(((e, 1),))
 
 
@@ -204,7 +193,8 @@ def last_exponent(a: Ordinal) -> Ordinal:
     """The exponent of the final, smallest term; 0 for input 0.
 
     This is the map sending alpha + w^beta to beta, which decides which
-    coordinate sequences are worlds of the universal model.
+    coordinate sequences are worlds of the universal model. The argument
+    is taken unchecked: a non-Ordinal raises `AttributeError`.
     """
     return a.terms[-1][0] if a.terms else ZERO
 
@@ -217,6 +207,8 @@ def hyperexp(n: int, x: Ordinal) -> Ordinal:
     """
     if not is_natural(n):
         raise ValueError(f"iteration count {n!r} must be a natural number")
+    if not isinstance(x, Ordinal):
+        raise TypeError(f"{x!r} is not an Ordinal")
     for _ in range(n):
         x = omega_power(x) if x.terms else ZERO
     return x

@@ -8,10 +8,12 @@ ASCII digits without leading zeros. Parsers and public constructors check
 their inputs with these, once, and build their results unchecked.
 
 `Value` is the base every value type shares: slotted, and closed to every
-attribute write once it is built. `interner` hash-conses a family of them:
-one live object per value, so that equality is identity. `post_order`
-lists the distinct nodes of such a value in constant stack, which is how
-ordinals and formulas copy and pickle through a flat table.
+attribute write once it is built. `Interned` is the base of the hash-consed
+ones, ordinals, formulas and worms: one weak table, here, holds the one
+live object per value, so that equality is identity, and every rule of
+that hash-consing is written once, in this module. `post_order` lists the
+distinct nodes of such a value in constant stack, which is how ordinals and
+formulas copy and pickle through a flat table.
 """
 
 from __future__ import annotations
@@ -97,36 +99,61 @@ class _Entry(ref):
     __slots__ = ("key",)
 
 
-def interner(build):
-    """An intern table and its entry point `intern(*key)`, meant to be bound
-    as a classmethod: the one live value with that key (its class first,
-    then its parts), built as build(*key) when there is none.
+# the one intern table: each key, a class and then its fields, maps to a
+# weak reference to the one live value with them
+_TABLE: dict = {}
 
-    The table maps each key to a weak reference to its value, whose callback
-    drops the entry once the value dies, so the table holds the live values
-    and no more. An entry is made with one `dict.setdefault`, so two threads
-    that build one value at once both return the one that was entered.
+
+def _forget(entry: _Entry) -> None:
+    _remove_dead_weakref(_TABLE, entry.key)
+
+
+def _intern(*key):
+    """The one live value with this key, a class and then its fields, which
+    are already known to be valid; bound as `Interned._from_checked`.
+
+    On a miss a new value is built, each field set through its slot's own
+    setter, and entered with one `dict.setdefault`, so two threads that
+    build one value at once both return the one that was entered."""
+    entry = _TABLE.get(key)
+    if entry is not None:
+        value = entry()
+        if value is not None:
+            return value
+    cls = key[0]
+    value = object.__new__(cls)
+    for setter, i in cls._setters:
+        setter(value, key[i])
+    entry = _Entry(value, _forget)
+    entry.key = key
+    # a dead entry is one whose callback has not run yet
+    while (live := _TABLE.setdefault(key, entry)()) is None:
+        _remove_dead_weakref(_TABLE, key)
+    return live
+
+
+class Interned(Value):
+    """A hash-consed Value: every build, through the checks of a public
+    constructor or past them through `_from_checked`, returns the one live
+    object with its class and fields. So equality is identity and the hash
+    is object's, and neither is stable from one process to the next: no
+    output may depend on the order of a set of such values.
+
+    The intern table holds weak references whose callbacks drop their
+    entries once the values die, so it holds the live values and no more.
     """
-    table: dict = {}
 
-    def forget(entry: _Entry) -> None:
-        _remove_dead_weakref(table, entry.key)
+    __slots__ = ("__weakref__",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    _from_checked = classmethod(_intern)
 
-    def intern(*key):
-        entry = table.get(key)
-        if entry is not None:
-            value = entry()
-            if value is not None:
-                return value
-        value = build(*key)
-        entry = _Entry(value, forget)
-        entry.key = key
-        # a dead entry is one whose callback has not run yet
-        while (live := table.setdefault(key, entry)()) is None:
-            _remove_dead_weakref(table, key)
-        return live
-
-    return table, intern
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot setter, bound once since the class's own
+        # __setattr__ refuses every write, with the field's place in an
+        # intern key, so that a miss makes no slice of the key to zip
+        names = cls.__match_args__
+        cls._setters = tuple((getattr(cls, name).__set__, i) for i, name in enumerate(names, 1))
 
 
 def post_order(root, children) -> dict:

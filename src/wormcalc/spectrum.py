@@ -66,6 +66,9 @@ class TheoryPresentation(Value):
     __slots__ = __match_args__ = ("entries", "name")
 
     def __new__(cls, entries: tuple[tuple[int, Worm], ...] = (), name: str | None = None):
+        # an iterator would be read up by the checks below, and a list kept as it is
+        if type(entries) is not tuple:
+            raise TypeError(f"entries {entries!r} are not a tuple")
         for level, worm in entries:
             if not (is_natural(level) and isinstance(worm, Worm)):
                 raise ValueError(f"entry {(level, worm)!r} must pair a natural level with a Worm")
@@ -203,8 +206,8 @@ def normalize(t: TheoryPresentation) -> Spectrum:
     Coordinate n is first the rank of the stored level-n worm (a level-n
     progression only sees that worm's level-n head), read straight from the
     worm's rank table, `Worm.ranks`: the levels were checked when the
-    presentation was built, and a worm parsed from a text seen before is
-    the one shared worm whose table is already in its slot. The union of
+    presentation was built, and worms are hash-consed, so a worm built
+    again while it lives has its table in its slot already. The union of
     the progressions is the least world at or above those ranks, which
     `least_world` takes once per distinct rank tuple: presentations with
     equal ranks get one shared, immutable `Spectrum`. Levels above the

@@ -7,17 +7,25 @@ well-ordering of level-n worms, `worm_of_ordinal` inverts it, and
 `compare_worms` decides the level-n ordering through those ranks instead of
 proof search.
 
+Worms are hash-consed (`parsing.Interned`), as ordinals and formulas are:
+every build, by the constructor, the parser, `head`, `remainder`,
+`worm_of_ordinal`, a copy or an unpickling, returns the one live worm with
+its letters, so equality is identity. That one worm owns what is derived
+from it: its rank table, and the formula `formula.formula_of_worm` builds,
+each kept in a slot for as long as the worm lives.
+
 A worm's ranks at all levels form one table, taken in one sweep from the
-top letter down and memoized per letter tuple: going down a level costs one
-w-power step, o(up A) = -1 + w^o(A), not a new tower, and nothing
-recurses: the one-letter worm k builds k ordinals, and every worm ranks in
-constant stack. Ordinals are hash-consed, so equal blocks, in one worm or
-in two, rank to one object and compare without descending the towers.
+top letter down on the first read of its `ranks` slot: going down a level
+costs one w-power step, o(up A) = -1 + w^o(A), not a new tower, and
+nothing recurses: the one-letter worm k builds k ordinals, and every worm
+ranks in constant stack. Ordinals are hash-consed too, so equal blocks, in
+one worm or in two, rank to one object and compare without descending the
+towers. The table is not filled when a worm is built, since most worms
+that `worm_of_ordinal` and `head` build are never ranked, and a long worm's
+sweep costs far more than its build.
 
 `parse_worm` parses each distinct text once per process, from a bounded
-memo, and hands back one shared worm per text. Worms are immutable, so the
-sharing shows only in the `ranks` slot: a text parsed again brings its rank
-table with it, and `normalize` and `forces_worm` read it at slot speed.
+memo that keeps its worm, and so that worm's rank table, alive.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ordinal import ONE, ZERO, Ordinal, add, compare, omega_power
-from .parsing import Cursor, Value, are_numerals, is_natural
+from .parsing import Cursor, Interned, are_numerals, is_natural
 
 __all__ = [
     "Worm",
@@ -40,31 +48,27 @@ __all__ = [
 ]
 
 
-class Worm(Value):
+class Worm(Interned):
     __slots__ = {
         "letters": None,
         "ranks": """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
 
-        The rank table `ordinal_of` reads too, swept once per distinct letter
-        tuple (`_ranks`) and kept in this slot on the first read; `normalize`
-        and `forces_worm` read the slot directly. It is not a field, so
-        equality, hashing and repr still see only the letters.""",
+        The rank table `ordinal_of` reads, swept (`_ranks`) on the first
+        read and kept in this slot while the worm lives; `normalize` and
+        `forces_worm` read the slot directly. It is not a field, so repr
+        and the intern key see only the letters.""",
+        "formula": """The worm as a formula, kept here by `formula.formula_of_worm`.""",
     }
     __match_args__ = ("letters",)
 
     def __new__(cls, letters: tuple[int, ...] = ()):
+        # the letters are the intern key: an iterator would be read up here
+        if type(letters) is not tuple:
+            raise TypeError(f"letters {letters!r} are not a tuple")
         for letter in letters:
             if not is_natural(letter):
                 raise ValueError(f"letter {letter!r} must be a natural number")
         return cls._from_checked(letters)
-
-    @classmethod
-    def _from_checked(cls, letters: tuple[int, ...]) -> "Worm":
-        """A worm of letters that are already known to be naturals, built
-        without running the constructor's per-letter check again."""
-        worm = object.__new__(cls)
-        _set_letters(worm, letters)
-        return worm
 
     def __getattr__(self, name: str):
         # reached only when the ordinary lookup fails: for `ranks`, until the
@@ -83,7 +87,7 @@ class Worm(Value):
         return f"Worm({print_worm(self)!r})"
 
 
-_set_letters, _set_ranks = Worm.letters.__set__, Worm.ranks.__set__
+_set_ranks = Worm.ranks.__set__
 
 TOP = Worm()
 
@@ -113,14 +117,6 @@ def remainder(a: Worm, n: int) -> Worm:
     return Worm._from_checked(a.letters[_cut(a.letters, _level(n)) :])
 
 
-# one entry per distinct letter tuple: normalizing the 83,130 acceptance
-# presentations fills 341 entries, and a benchmark run under 140, so the
-# memo never evicts; the bound only keeps a long-running process from
-# growing it without limit
-_RANK_MEMO_SIZE = 1 << 14
-
-
-@lru_cache(maxsize=_RANK_MEMO_SIZE)
 def _ranks(letters: tuple[int, ...]) -> tuple[Ordinal, ...]:
     # Every level's rank in one sweep from the top level down. At level n
     # the letters >= n form maximal runs, each held as a record [level,
@@ -166,10 +162,10 @@ def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
     around a 0-letter as B0A is worth rank(A) + 1 + rank(B); and shifting
     all letters up by n applies the n-th hyperexponential. At level n the
     rank only sees the level-n head, read with n in the part of 0. Every
-    level is read from the worm's one rank table, `_ranks`; past the top
-    letter the head is empty and the rank is 0.
+    level is read from the worm's one rank table, its `ranks` slot; past the
+    top letter the head is empty and the rank is 0.
     """
-    ranks = _ranks(a.letters)
+    ranks = a.ranks
     return ranks[level] if _level(level) < len(ranks) else ZERO
 
 
@@ -220,10 +216,10 @@ def _worm_of(x: Ordinal, base: int) -> tuple[int, ...]:
 def parse_worm(text: str) -> Worm:
     """The worm a text spells, in either form, around optional whitespace.
 
-    Each distinct text is parsed once per process: the result is the one
-    shared, immutable worm kept in a bounded memo, so its `ranks` slot is
-    filled on its first read and serves every later parse of that text. A
-    text that fails to parse keeps nothing, and a non-string is refused.
+    Each distinct text is parsed once per process, from a bounded memo
+    that keeps the one interned worm alive, so its `ranks` slot is filled
+    on its first read and serves every later parse of that text. A text
+    that fails to parse keeps nothing, and a non-string is refused.
     """
     if not isinstance(text, str):
         raise TypeError(f"worm text {text!r} is not a string")
@@ -233,12 +229,11 @@ def parse_worm(text: str) -> Worm:
 # one entry per distinct text: the 83,130 acceptance presentations use 341
 # worm texts, and a `spectra` benchmark pass 125 of its 11,369, so the memo
 # never evicts there; the bound only keeps a long-running process from
-# growing it without limit
+# growing it without limit. Interning alone would hand back the same worm
+# only while something else held it; the memo holds it, and skips the scan
 @lru_cache(maxsize=1 << 12)
 def _parsed_worm(text: str) -> Worm:
     text = text.strip()
-    if text == "T":
-        return TOP
     pieces = text.split(".")
     if are_numerals(pieces):
         return Worm._from_checked(tuple(map(int, pieces)))

@@ -10,7 +10,9 @@ tests need, so the package does not carry them.
 
 from __future__ import annotations
 
+import gc
 import itertools
+from collections import Counter
 from functools import cmp_to_key, lru_cache
 
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from wormcalc.ignatiev import Point, least_world
 from wormcalc.ordinal import (
     ONE, ZERO, Ordinal, add, compare, from_int, hyperexp, last_exponent, omega_power, print_ordinal
 )
+from wormcalc import parsing
 from wormcalc.parsing import Cursor, ParseError
 from wormcalc.spectrum import Spectrum, TheoryPresentation
 from wormcalc.worm import Worm, ordinal_of, print_worm, worm_of_ordinal
@@ -326,13 +329,20 @@ def recursive_compare(a: Ordinal, b: Ordinal) -> int:
     return 0
 
 
+def interned() -> Counter:
+    """How many live values of each class the one intern table holds, once
+    the values that only reference cycles kept alive are gone."""
+    gc.collect()
+    return Counter(key[0] for key in list(parsing._TABLE))
+
+
 def recursive_ranks(letters: tuple[int, ...]) -> tuple[Ordinal, ...]:
     """A worm's rank at levels 0 .. max letter + 1, each level on its own.
 
     Level n ranks the leading block of letters >= n by the recursion on
     the block: split at every letter n, or, when the smallest letter m is
     above n, take the rank at level m up m - n hyperexponentials. An oracle
-    for the one top-down sweep `_ranks`; it recurses once per level jump
+    for the one top-down sweep `worm._ranks`; it recurses once per level jump
     and rebuilds each level's tower, so it is quadratic in the top letter.
     """
     top = max(letters) + 1 if letters else 0

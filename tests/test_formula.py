@@ -24,8 +24,8 @@ from wormcalc.formula import (
     parse_formula,
     print_formula,
 )
-from wormcalc.parsing import ParseError
-from wormcalc.worm import TOP, parse_worm, print_worm
+from wormcalc.parsing import Interned, ParseError
+from wormcalc.worm import TOP, Worm, parse_worm, print_worm
 
 
 def test_parse_examples():
@@ -134,6 +134,28 @@ def test_parser_and_sugar_build_past_the_constructors_checks(monkeypatch):
     ]
     assert built == expected
     assert [hash(g) for g in built] == [hash(g) for g in expected]
+
+
+def test_a_live_worm_keeps_its_formula(monkeypatch):
+    # formula_of_worm builds a worm's chain once, and the worm keeps it in
+    # its slot: a second call, or a call on the worm parsed again, makes no
+    # intern lookup
+    lookups = []
+    intern = Interned._from_checked.__func__
+
+    def counting(cls, *fields):
+        lookups.append(fields)
+        return intern(cls, *fields)
+
+    a = Worm((10**9, 3, 10**9))
+    again = parse_worm(print_worm(a))
+    expected = Diamond(10**9, Diamond(3, Diamond(10**9, Top())))
+    monkeypatch.setattr(Interned, "_from_checked", classmethod(counting))
+    first = formula_of_worm(a)
+    assert first is expected and len(lookups) == 3
+    del lookups[:]
+    assert formula_of_worm(a) is first and formula_of_worm(again) is first
+    assert lookups == []
 
 
 def test_reprs():

@@ -1,7 +1,8 @@
 """Source-level guards: tests that cannot shadow each other, a package
 that imports nothing outside the standard library and no dataclasses,
 exports that name what the modules define, modules that share no private
-names, formats that one module alone decodes, and memos that are bounded."""
+names, formats that one module alone decodes, hash-consing that one module
+alone writes, and memos that are bounded."""
 
 import ast
 import importlib
@@ -15,8 +16,21 @@ from pathlib import Path
 
 from wormcalc.formula import Bottom, Box, Diamond, Formula, Implies, Top
 from wormcalc.ordinal import Ordinal
+from wormcalc.parsing import Interned, Value
+from wormcalc.worm import Worm
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_roots(path: Path) -> set:
+    """The top-level packages a module imports by absolute import."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
 
 
 def test_no_shadowed_tests_and_stdlib_only_imports():
@@ -28,16 +42,9 @@ def test_no_shadowed_tests_and_stdlib_only_imports():
         )
         assert [name for name, k in names.items() if k > 1] == [], path.name
     for path in sorted((ROOT / "src" / "wormcalc").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                roots = [alias.name.split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                roots = [node.module.split(".")[0]]
-            else:
-                continue
-            for root in roots:
-                assert root == "wormcalc" or root in sys.stdlib_module_names, (path.name, root)
-                assert root != "dataclasses", path.name
+        for root in imported_roots(path):
+            assert root == "wormcalc" or root in sys.stdlib_module_names, (path.name, root)
+            assert root != "dataclasses", path.name
 
 
 def test_cli_import_leaves_dataclasses_out():
@@ -107,8 +114,8 @@ def test_modules_share_no_private_names_and_one_numeral_rule():
 
 def test_unchecked_points_stay_in_their_modules_and_order_keys_are_gone():
     # only ignatiev.py builds a point past its check, and only worm.py a
-    # worm. Ordinals and formulas are hash-consed, so equality is identity:
-    # no order key, and no stored hash on an ordinal or a formula node
+    # worm. Ordinals, formulas and worms are hash-consed, so equality is
+    # identity: no order key, and no stored hash on any of them
     sources = sorted((ROOT / "src" / "wormcalc").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     for path in sources:
         if path.name == Path(__file__).name:
@@ -117,9 +124,34 @@ def test_unchecked_points_stay_in_their_modules_and_order_keys_are_gone():
         assert "Point._from_checked" not in text or path.name == "ignatiev.py", path.name
         assert "Worm._from_checked" not in text or path.name == "worm.py", path.name
         assert re.findall(r"\b_key\b", text) == [], path.name
-    for cls in (Ordinal, Formula, Top, Bottom, Implies, Box, Diamond):
+    for cls in (Ordinal, Formula, Top, Bottom, Implies, Box, Diamond, Worm):
         slots = {name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())}
         assert "_hash" not in slots and cls.__hash__ is object.__hash__, cls
+
+
+def value_types():
+    """Every parsing.Value subclass the package defines; importing it
+    imports every module that defines one."""
+    found, pending = [], [Value]
+    while pending:
+        cls = pending.pop()
+        found.append(cls)
+        pending += cls.__subclasses__()
+    return [cls for cls in found if cls.__module__.startswith("wormcalc.")]
+
+
+def test_hash_consing_lives_in_parsing_alone():
+    # a value type hashes by identity exactly when it is interned through
+    # parsing.Interned, whose one table alone holds weak references
+    types = value_types()
+    assert {Ordinal, Implies, Box, Diamond, Worm} <= set(types)
+    for cls in types:
+        assert (cls.__hash__ is object.__hash__) == issubclass(cls, Interned), cls
+        assert (cls.__eq__ is object.__eq__) == issubclass(cls, Interned), cls
+    for path in sorted((ROOT / "src" / "wormcalc").glob("*.py")):
+        if path.name != "parsing.py":
+            assert not {"weakref", "_weakref"} & imported_roots(path), path.name
+            assert "__weakref__" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_no_instance_dict_writes():
@@ -158,7 +190,7 @@ def test_memos_are_bounded():
     for module, name in memos:
         memo = getattr(importlib.import_module(f"wormcalc.{module}"), name)
         assert memo.cache_parameters()["maxsize"] is not None, (module, name)
-    required = {"_ranks", "_views", "_spectrum_of_ranks", "_parsed_worm", "_parsed_ordinal", "_parsed_formula"}
+    required = {"_views", "_spectrum_of_ranks", "_parsed_worm", "_parsed_ordinal", "_parsed_formula"}
     assert {name for _, name in memos} >= required
     # the parsers stay plain functions in front of their memos, so the
     # bench tracer, which wraps only functions, still sees each call

@@ -464,40 +464,37 @@ def test_each_formula_is_evaluated_once_per_fragment(monkeypatch):
     assert len(built) == sum(node_count(f) for f in formulas)
 
 
-def test_worm_ranks_are_taken_once_per_worm():
-    # Worm.ranks reads the memo _ranks, keyed by the letter tuple: a miss is
-    # one computation of a worm's ranks, and each worm object looks up once
+def test_worm_ranks_are_taken_once_per_worm(monkeypatch):
+    # a worm's ranks are swept once, on the first read of its `ranks` slot,
+    # and a worm built again from letters seen before is the one worm, its
+    # table with it
+    swept, sweep = [], worm._ranks
+    monkeypatch.setattr(worm, "_ranks", lambda letters: swept.append(letters) or sweep(letters))
     m = enumerate_submodel([ZERO, from_int(1), from_int(2), W, W_TO_W], 2)
     texts = ("0", "1.0", "2", "0.1.2", "2.1", "1.1", "2.1")
     assert len(m.worlds) == 10
-    # at most one miss per distinct letter tuple, and none for fresh objects
-    # whose letters were seen before; fresh objects are built directly, since
-    # parsing a text again hands back the worm it gave the first time
-    for most_misses in (len(set(texts)), 0):
-        before = worm._ranks.cache_info()
+    # at most one sweep per distinct letter tuple, and none for worms built
+    # again from letters seen before
+    first = None
+    for most_sweeps in (len(set(texts)), 0):
+        del swept[:]
         worms = [Worm(tuple(map(int, t.split(".")))) for t in texts]
         for p in m.worlds:
             for a in worms:
                 forces_worm(p, a)
-        after = worm._ranks.cache_info()
-        misses = after.misses - before.misses
-        assert after.hits - before.hits + misses == len(worms)
-        assert misses <= most_misses
+        assert len(swept) <= most_sweeps and len(set(swept)) == len(swept)
+        assert first is None or all(a is b for a, b in zip(worms, first))
+        first = worms
 
-    # the same texts parsed a second time are the worms of the first parse,
-    # whose ranks are in their slots already: no lookup at all
-    first = [parse_worm(t) for t in texts]
-    for p in m.worlds:
-        for a in first:
-            forces_worm(p, a)
-    before = worm._ranks.cache_info()
+    # the same texts parsed are the worms built from their letters, whose
+    # ranks are in their slots already: no sweep at all
+    del swept[:]
     again = [parse_worm(t) for t in texts]
     assert all(a is b for a, b in zip(again, first))
     for p in m.worlds:
         for a in again:
             forces_worm(p, a)
-    after = worm._ranks.cache_info()
-    assert after.hits - before.hits + after.misses - before.misses == 0
+    assert swept == []
 
     # forces and validity_check answer with the same values a fresh
     # ForcingResult holds, on an exact fragment and on one that is not

@@ -290,6 +290,17 @@ def test_constructor_refuses_ill_typed_terms():
             Ordinal(terms)
 
 
+def test_omega_power_and_hyperexp_refuse_a_non_ordinal():
+    # each built its result around the argument: omega_power(5) interned an
+    # ordinal whose str raised AttributeError, and hyperexp(0, 5) returned 5
+    before = samples.interned()
+    for build in (omega_power, lambda x: hyperexp(1, x), lambda x: hyperexp(0, x)):
+        for x in (5, None, "w", (ZERO, 1)):
+            with pytest.raises(TypeError):
+                build(x)
+    assert samples.interned() == before
+
+
 def test_compare_agrees_with_polynomial_oracle():
     finite_part = [x for x in samples.ordinal_sample() if all(e.is_finite for e, _ in x.terms)]
     for a, b in itertools.product(finite_part[:120], repeat=2):

@@ -1,10 +1,9 @@
 """Every value type: slotted, closed to attribute writes once built, and
-copied or pickled as an equal value with the same hash and repr; ordinals
-and formulas are hash-consed, so each of their build paths returns the one
-object with its value."""
+copied or pickled as an equal value with the same hash and repr; ordinals,
+formulas and worms are hash-consed, so each of their build paths returns
+the one object with its value."""
 
 import copy
-import gc
 import itertools
 import pickle
 import sys
@@ -13,12 +12,11 @@ import threading
 import pytest
 
 import samples
-from wormcalc import formula, ordinal
 from wormcalc.formula import Bottom, Box, Diamond, Implies, Top, parse_formula, print_formula
 from wormcalc.ignatiev import ForcingResult, Point, parse_point
 from wormcalc.ordinal import ONE, ZERO, Ordinal, from_int, hyperexp, omega_power, parse_ordinal, print_ordinal
 from wormcalc.spectrum import LimitTheory, Spectrum, TheoryPresentation, normalize, registry
-from wormcalc.worm import TOP, Worm, ordinal_of, parse_worm, worm_of_ordinal
+from wormcalc.worm import TOP, Worm, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
 
 VALUE_TYPES = {
     Ordinal, Point, Worm, Top, Bottom, Implies, Box, Diamond,
@@ -87,6 +85,24 @@ def test_constructors_refuse_fields_of_the_wrong_type():
             cls(*args)
 
 
+def test_constructors_that_keep_a_tuple_refuse_anything_else():
+    # a worm's letters are its intern key and a presentation's entries are
+    # read twice, so an iterator was read up and a list kept unhashable:
+    # Worm(iter((1, 2))) ranked as the empty worm, and a presentation of an
+    # iterator normalized to <0>
+    for cls, args in (
+        (Worm, (iter((1, 2)),)),
+        (Worm, ([1, 2],)),
+        (Worm, (None,)),
+        (TheoryPresentation, (iter(((0, Worm((1,))),)),)),
+        (TheoryPresentation, ([(0, Worm((1,)))],)),
+        (TheoryPresentation, ({0: Worm((1,))}, "T")),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args)
+    assert Worm((1, 2)).letters == (1, 2) and TheoryPresentation(((0, Worm((1,))),)).entries[0][0] == 0
+
+
 def test_deep_ordinals_copy_and_pickle_in_constant_stack():
     tower = Worm((1500,)).ranks[0]
     limit = sys.getrecursionlimit()
@@ -117,18 +133,33 @@ def test_every_build_path_returns_the_one_object():
         for g in (parse_formula(print_formula(f)), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert g is f, f
     assert Top() is Top() and Bottom() is Bottom() and Box(0, Top()) is Box(0, Top())
-    # the tables hold the live values only: a fresh value leaves no entry
-    gc.collect()
-    sizes = len(ordinal._ORDINALS), len(formula._FORMULAS)
-    fresh = omega_power(from_int(10**30)), Diamond(10**30, Box(10**30, Top()))
-    assert len(ordinal._ORDINALS) == sizes[0] + 2 and len(formula._FORMULAS) == sizes[1] + 2
+    for a in samples.all_worms(4, 3):
+        up = tuple(letter + 1 for letter in a.letters)
+        joined = Worm(up + (0,) + a.letters)
+        builds = (
+            Worm(a.letters),
+            parse_worm(print_worm(a)),
+            parse_worm(print_worm(a, diamonds=True)),
+            copy.copy(a),
+            copy.deepcopy(a),
+            pickle.loads(pickle.dumps(a)),
+        )
+        assert all(b is a for b in builds), a
+        assert head(joined, 1) is Worm(up) and remainder(joined, 1) is Worm((0,) + a.letters)
+    for x in sample:
+        canonical = worm_of_ordinal(x)
+        assert worm_of_ordinal(ordinal_of(canonical)) is canonical is parse_worm(print_worm(canonical)), x
+    # the table holds the live values only: a fresh value leaves no entry
+    sizes = samples.interned()
+    fresh = omega_power(from_int(10**30)), Diamond(10**30, Box(10**30, Top())), Worm((10**30, 10**30))
+    grown = samples.interned() - sizes
+    assert grown == {Ordinal: 2, Diamond: 1, Box: 1, Worm: 1}
     del fresh
-    gc.collect()
-    assert (len(ordinal._ORDINALS), len(formula._FORMULAS)) == sizes
+    assert samples.interned() == sizes
 
 
 def test_threads_that_build_one_value_share_one_object():
-    # the intern tables are shared: threads that build the same values at
+    # the intern table is shared: threads that build the same values at
     # once get one object per value, round after round, while the last
     # thread to drop a round's values frees them as the others rebuild them
     count, rounds = 4, 60
@@ -140,6 +171,7 @@ def test_threads_that_build_one_value_share_one_object():
         for r in range(rounds):
             mine = [omega_power(from_int(10**20 + i)) for i in range(100)]
             mine += [Box(i, Diamond(10**20, Top())) for i in range(100)]
+            mine += [Worm((10**20, i)) for i in range(100)]
             shared[t] = mine
             barrier.wait()
             if any(x is not y for x, y in zip(mine, shared[0])):

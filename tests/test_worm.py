@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 import samples
 from samples import concat, in_worms, promote
+from wormcalc import worm
 from wormcalc.formula import Diamond, Implies, formula_of_worm
 from wormcalc.ordinal import (
     OMEGA,
@@ -66,14 +67,17 @@ def test_rank_examples():
 
 
 def test_rank_cache_stays_outside_the_fields():
-    # equality, hashing and repr see only the letters, whether or not the
-    # ranks were read
+    # the letters are the one field: the intern key, match and repr see
+    # only them, whether or not the ranks were read, and a worm built again
+    # from its letters is the one worm, with its rank table
     for a in samples.all_worms(3, 2):
-        cached, fresh = Worm(a.letters), Worm(a.letters)
+        before = repr(a)
         top = max(a.letters) + 1 if a.letters else 0
-        assert cached.ranks == tuple(ordinal_of(a, n) for n in range(top + 1))
-        assert cached == fresh and hash(cached) == hash(fresh) == hash((a.letters,))
-        assert repr(cached) == repr(fresh) == f"Worm({print_worm(a)!r})"
+        assert a.ranks == tuple(ordinal_of(a, n) for n in range(top + 1))
+        again = Worm(a.letters)
+        assert again is a and again.ranks is a.ranks
+        assert a._fields() == (a.letters,) and hash(again) == hash(a) == object.__hash__(a)
+        assert repr(a) == before == f"Worm({print_worm(a)!r})"
 
 
 def test_rank_at_level_examples():
@@ -159,9 +163,15 @@ def test_parsed_and_canonical_worms_match_constructed_ones():
 
 
 def test_rank_memo_is_bounded():
-    # finite, and far above the 341 entries the acceptance family fills
-    info = _ranks.cache_info()
-    assert info.maxsize is not None and info.maxsize >= 10_000
+    # a rank table lives in its worm's slot, and the intern table holds the
+    # live worms only: a worm that nothing holds leaves, its table with it
+    before = samples.interned()
+    worms = [Worm((7, 100 + i)) for i in range(100)]
+    assert all(len(a.ranks) == 100 + i + 2 for i, a in enumerate(worms))
+    grown = samples.interned() - before
+    assert grown[Worm] == 100 and grown[Ordinal] >= 200
+    del worms
+    assert samples.interned() == before
 
 
 def test_ranks_agree_with_the_recursive_oracle():
@@ -191,18 +201,20 @@ def test_single_letter_ranks_are_hyperexponentials():
 
 
 def test_single_letter_ranks_build_one_ordinal_per_level(monkeypatch):
-    # one w-power step per level, not a tower rebuilt at every level
-    built = []
-    build = Ordinal._from_checked.__func__
+    # one w-power step per level, not a tower rebuilt at every level, in
+    # one sweep on the first read of the worm's slot and none after
+    built, swept = [], []
+    build, sweep = Ordinal._from_checked.__func__, worm._ranks
 
     def counted(cls, terms):
         built.append(terms)
         return build(cls, terms)
 
-    _ranks.cache_clear()
     monkeypatch.setattr(Ordinal, "_from_checked", classmethod(counted))
-    assert len(Worm((2000,)).ranks) == 2002
-    assert len(built) <= 2001
+    monkeypatch.setattr(worm, "_ranks", lambda letters: swept.append(letters) or sweep(letters))
+    a = Worm((2000,))
+    assert len(a.ranks) == 2002 and Worm((2000,)).ranks is a.ranks
+    assert len(built) <= 2001 and swept == [(2000,)]
 
 
 # deep worms and (level-0 term count, its leading coefficient, levels);
@@ -217,25 +229,28 @@ DEEP_WORMS = [
 
 
 def test_ranks_take_constant_stack():
-    # every rank, and ordinal_of from a cleared memo, in a process whose
-    # recursion limit is far below the worms' letters
+    # every rank, and ordinal_of from a worm built again once the first
+    # has died, its table with it, in a process whose recursion limit is
+    # far below the worms' letters
     script = f"""
 import sys
 sys.setrecursionlimit(200)
-from wormcalc.worm import Worm, _ranks, ordinal_of
+from wormcalc import parsing
+from wormcalc.worm import Worm, ordinal_of
 for letters, _ in {DEEP_WORMS!r}:
     ranks = Worm(letters).ranks
-    _ranks.cache_clear()
+    assert (Worm, letters) not in parsing._TABLE
     x = ordinal_of(Worm(letters))
     print(len(x.terms), x.terms[0][1], len(ranks))
-# equal blocks share one value across worms too, even once the rank memo
-# is cleared between them, so these compare w^E with w^E + 1 by identity
+# equal blocks share one value across worms too, each swept on its own:
+# the tables of these two share the tower w^E, so they compare w^E with
+# w^E + 1 by identity
 from wormcalc.ignatiev import forces_worm, min_point_for_worm
 from wormcalc.worm import compare_worms
 a = Worm((1000,))
 a.ranks
-_ranks.cache_clear()
 b = Worm((0, 1000))
+print(b.ranks[0].terms[0][0] is a.ranks[0].terms[0][0])
 print(compare_worms(a, b), compare_worms(b, a), forces_worm(min_point_for_worm(a), b))
 """
     src = str(Path(__file__).parent.parent / "src")
@@ -244,7 +259,7 @@ print(compare_worms(a, b), compare_worms(b, a), forces_worm(min_point_for_worm(a
         [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == [" ".join(map(str, shape)) for _, shape in DEEP_WORMS] + ["-1 1 False"]
+    assert proc.stdout.splitlines() == [" ".join(map(str, shape)) for _, shape in DEEP_WORMS] + ["True", "-1 1 False"]
 
 
 def test_constructor_refuses_ill_typed_letters():
