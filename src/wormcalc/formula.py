@@ -63,6 +63,9 @@ class Formula(Interned):
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
+
 
 class Top(Formula):
     __slots__ = ()
@@ -93,9 +96,6 @@ class Implies(Formula):
     def __new__(cls, left: Formula, right: Formula):
         return cls._from_checked(_formula(left), _formula(right))
 
-    def __repr__(self):
-        return f"Implies({self.left!r}, {self.right!r})"
-
 
 class _Modal(Formula):
     """The shared shape of Box and Diamond: a natural-number index and a body."""
@@ -111,15 +111,9 @@ class _Modal(Formula):
 class Box(_Modal):
     __slots__ = ()
 
-    def __repr__(self):
-        return f"Box({self.index}, {self.body!r})"
-
 
 class Diamond(_Modal):
     __slots__ = ()
-
-    def __repr__(self):
-        return f"Diamond({self.index}, {self.body!r})"
 
 
 def _from_table(rows: tuple[tuple, ...]) -> Formula:

@@ -94,26 +94,14 @@ class Point(Value):
 
     __slots__ = __match_args__ = ("coords",)
 
-    def __init__(self, coords: tuple[Ordinal, ...]):
-        _set_coords(self, coords)
-        self.__post_init__()
-
-    def __post_init__(self):
-        coords = self.coords
+    def __new__(cls, coords: tuple[Ordinal, ...]):
         if not isinstance(coords, tuple) or not all(isinstance(c, Ordinal) for c in coords):
             raise TypeError(f"coordinates {coords!r} are not a tuple of Ordinals")
         if not coords:
             raise ValueError("a point stores at least one coordinate")
         if len(coords) > 1 and coords[-1].is_zero:
             raise ValueError("non-canonical point: trailing zero coordinate")
-
-    @classmethod
-    def _from_checked(cls, coords: tuple[Ordinal, ...]) -> "Point":
-        """A point of coordinates already known to be canonical Ordinals,
-        built without running __post_init__'s check again."""
-        point = object.__new__(cls)
-        _set_coords(point, coords)
-        return point
+        return cls._from_checked(coords)
 
     @classmethod
     def of(cls, coords: Iterable[Ordinal]) -> "Point":
@@ -135,9 +123,6 @@ class Point(Value):
 
     def __repr__(self) -> str:
         return f"Point({print_point(self)!r})"
-
-
-_set_coords = Point.coords.__set__
 
 
 def parse_coords(text: str) -> tuple[Ordinal, ...]:
@@ -368,17 +353,14 @@ class ForcingResult(Value):
 
     __slots__ = __match_args__ = ("value", "exact")
 
-    def __init__(self, value: bool, exact: bool):
+    def __new__(cls, value: bool, exact: bool):
         if not (isinstance(value, bool) and isinstance(exact, bool)):
             raise TypeError(f"value {value!r} and exact {exact!r} must be bools")
-        _set_value(self, value)
-        _set_exact(self, exact)
+        return cls._from_checked(value, exact)
 
     def __bool__(self) -> bool:
         return self.value
 
-
-_set_value, _set_exact = ForcingResult.value.__set__, ForcingResult.exact.__set__
 
 # the two answers forces and validity_check give, indexed by value, on an
 # inexact and on an exact fragment

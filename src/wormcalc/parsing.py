@@ -7,13 +7,16 @@ is written once, here: `is_natural` for values (an int n >= 0, not a bool);
 ASCII digits without leading zeros. Parsers and public constructors check
 their inputs with these, once, and build their results unchecked.
 
-`Value` is the base every value type shares: slotted, and closed to every
-attribute write once it is built. `Interned` is the base of the hash-consed
-ones, ordinals, formulas and worms: one weak table, here, holds the one
-live object per value, so that equality is identity, and every rule of
-that hash-consing is written once, in this module. `post_order` lists the
-distinct nodes of such a value in constant stack, which is how ordinals and
-formulas copy and pickle through a flat table.
+`Value` is the base every value type shares: slotted, closed to every
+attribute write once it is built, and built past its checks in one way,
+`Value._from_checked`, the one place that sets a value's slots. Each value
+type's public constructor checks its arguments and ends in that call.
+`Interned` is the base of the hash-consed ones, ordinals, formulas and
+worms: one weak table, here, holds the one live object per value, so that
+equality is identity, and every rule of that hash-consing is written once,
+in this module. `post_order` lists the distinct nodes of such a value in
+constant stack, which is how ordinals and formulas copy and pickle through
+a flat table.
 """
 
 from __future__ import annotations
@@ -51,20 +54,43 @@ def are_numerals(pieces) -> bool:
     return True
 
 
+def _build(*key):
+    """A new value of class key[0] with the fields key[1:], which are
+    already known to be valid; bound as `Value._from_checked`.
+
+    Each field is set through its slot's own setter, since the class's
+    __setattr__ refuses every write."""
+    cls = key[0]
+    value = object.__new__(cls)
+    for setter, i in cls._setters:
+        setter(value, key[i])
+    return value
+
+
 class Value:
     """An immutable value with its fields in slots.
 
     A subclass names its constructor's fields, in order, in `__match_args__`,
     which `match` reads too. Equality, hashing, repr, copying and pickling
     go by those fields, in that order, unless the subclass writes its own.
-    Every attribute write and delete is refused, so a build sets the slots
-    through their descriptors' own `__set__`, bound once per class; a copy
-    or an unpickled value goes back through the public constructor and its
-    checks.
+    Every attribute write and delete is refused. The public constructor, a
+    `__new__`, checks its arguments and returns `cls._from_checked(*fields)`,
+    which parsers and internal results call directly with fields already
+    known to be valid; it is the one build, and a copy or an unpickled
+    value goes back through the public constructor and its checks.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _from_checked = classmethod(_build)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot setter, bound once, with the field's place in a
+        # build's (and an intern) key, so that a build makes no slice of
+        # the key to zip
+        names = cls.__match_args__
+        cls._setters = tuple((getattr(cls, name).__set__, i) for i, name in enumerate(names, 1))
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__match_args__))
@@ -112,18 +138,15 @@ def _intern(*key):
     """The one live value with this key, a class and then its fields, which
     are already known to be valid; bound as `Interned._from_checked`.
 
-    On a miss a new value is built, each field set through its slot's own
-    setter, and entered with one `dict.setdefault`, so two threads that
-    build one value at once both return the one that was entered."""
+    On a miss a new value is built, through `_build`, and entered with one
+    `dict.setdefault`, so two threads that build one value at once both
+    return the one that was entered."""
     entry = _TABLE.get(key)
     if entry is not None:
         value = entry()
         if value is not None:
             return value
-    cls = key[0]
-    value = object.__new__(cls)
-    for setter, i in cls._setters:
-        setter(value, key[i])
+    value = _build(*key)
     entry = _Entry(value, _forget)
     entry.key = key
     # a dead entry is one whose callback has not run yet
@@ -135,9 +158,10 @@ def _intern(*key):
 class Interned(Value):
     """A hash-consed Value: every build, through the checks of a public
     constructor or past them through `_from_checked`, returns the one live
-    object with its class and fields. So equality is identity and the hash
-    is object's, and neither is stable from one process to the next: no
-    output may depend on the order of a set of such values.
+    object with its class and fields, and only a miss in the intern table
+    builds one, as a plain Value is built. So equality is identity and the
+    hash is object's, and neither is stable from one process to the next:
+    no output may depend on the order of a set of such values.
 
     The intern table holds weak references whose callbacks drop their
     entries once the values die, so it holds the live values and no more.
@@ -146,14 +170,6 @@ class Interned(Value):
     __slots__ = ("__weakref__",)
     __eq__, __hash__ = object.__eq__, object.__hash__
     _from_checked = classmethod(_intern)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # each field's slot setter, bound once since the class's own
-        # __setattr__ refuses every write, with the field's place in an
-        # intern key, so that a miss makes no slice of the key to zip
-        names = cls.__match_args__
-        cls._setters = tuple((getattr(cls, name).__set__, i) for i, name in enumerate(names, 1))
 
 
 def post_order(root, children) -> dict:

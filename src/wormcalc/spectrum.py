@@ -75,6 +75,8 @@ class TheoryPresentation(Value):
         levels = [level for level, _ in entries]
         if levels != sorted(set(levels)):
             raise ValueError("entries must be sorted by level without duplicates")
+        if not (name is None or isinstance(name, str)):
+            raise TypeError(f"name {name!r} is neither None nor a string")
         return cls._from_checked(entries, name)
 
     @classmethod
@@ -111,24 +113,10 @@ class TheoryPresentation(Value):
         entries.sort(key=itemgetter(0))
         return cls._from_checked(tuple(entries), name)
 
-    @classmethod
-    def _from_checked(
-        cls, entries: tuple[tuple[int, Worm], ...], name: str | None
-    ) -> "TheoryPresentation":
-        """A presentation whose levels are already known to be naturals,
-        sorted and distinct, built without running the constructor's check
-        again."""
-        presentation = object.__new__(cls)
-        _set_entries(presentation, entries)
-        _set_name(presentation, name)
-        return presentation
-
     def __repr__(self):
         inner = ", ".join(f"{level}: {print_worm(w)!r}" for level, w in self.entries)
-        return f"TheoryPresentation({{{inner}}})"
-
-
-_set_entries, _set_name = TheoryPresentation.entries.__set__, TheoryPresentation.name.__set__
+        named = "" if self.name is None else f", name={self.name!r}"
+        return f"TheoryPresentation({{{inner}}}{named})"
 
 
 class Spectrum(Value):
@@ -142,10 +130,10 @@ class Spectrum(Value):
 
     __slots__ = __match_args__ = ("point",)
 
-    def __init__(self, point: Point):
+    def __new__(cls, point: Point):
         if not isinstance(point, Point):
             raise TypeError(f"point {point!r} is not a Point")
-        _set_point(self, point)
+        return cls._from_checked(point)
 
     @classmethod
     def of_point(cls, p: Point) -> "Spectrum":
@@ -181,9 +169,6 @@ class Spectrum(Value):
 
     def __repr__(self):
         return f"Spectrum({print_point(self.point)})"
-
-
-_set_point = Spectrum.point.__set__
 
 
 # the 83,130 acceptance presentations have 753 distinct points, and a
@@ -227,7 +212,7 @@ def normalize(t: TheoryPresentation) -> Spectrum:
 # keeps a long-running process from growing it without limit
 @lru_cache(maxsize=1 << 12)
 def _spectrum_of_ranks(ranks: tuple[Ordinal, ...]) -> Spectrum:
-    return Spectrum(least_world(ranks))
+    return Spectrum._from_checked(least_world(ranks))
 
 
 class LimitTheory(Value):
@@ -235,14 +220,10 @@ class LimitTheory(Value):
 
     __slots__ = __match_args__ = ("name", "note")
 
-    def __init__(self, name: str, note: str):
+    def __new__(cls, name: str, note: str):
         if not (isinstance(name, str) and isinstance(note, str)):
             raise TypeError(f"name {name!r} and note {note!r} must be strings")
-        _set_limit_name(self, name)
-        _set_note(self, note)
-
-
-_set_limit_name, _set_note = LimitTheory.name.__set__, LimitTheory.note.__set__
+        return cls._from_checked(name, note)
 
 
 def conservation_level(p: Spectrum, q: Spectrum) -> int | str:

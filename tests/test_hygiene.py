@@ -1,8 +1,8 @@
 """Source-level guards: tests that cannot shadow each other, a package
 that imports nothing outside the standard library and no dataclasses,
 exports that name what the modules define, modules that share no private
-names, formats that one module alone decodes, hash-consing that one module
-alone writes, and memos that are bounded."""
+names, formats that one module alone decodes, hash-consing and value builds
+that one module alone writes, and memos that are bounded."""
 
 import ast
 import importlib
@@ -154,10 +154,31 @@ def test_hash_consing_lives_in_parsing_alone():
             assert "__weakref__" not in path.read_text(encoding="utf-8"), path.name
 
 
+def test_one_build_path_for_every_value():
+    # each value type's public constructor is its __new__, and every build
+    # past its checks goes through Value._from_checked or, for a hash-consed
+    # type, Interned._from_checked: no type keeps a build of its own, and
+    # only parsing.py binds the slot setter of a field
+    types = value_types()
+    assert {Value, Interned} < set(types)
+    for cls in types:
+        if cls not in (Value, Interned):
+            assert not {"_from_checked", "__init__", "__post_init__"} & set(vars(cls)), cls
+    fields = {(cls.__name__, name) for cls in types for name in cls.__match_args__}
+    for path in sorted((ROOT / "src" / "wormcalc").glob("*.py")):
+        if path.name == "parsing.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "__set__":
+                owner = node.value
+                bound = (getattr(getattr(owner, "value", None), "id", None), getattr(owner, "attr", None))
+                assert bound not in fields, (path.name, node.lineno)
+
+
 def test_no_instance_dict_writes():
     # the value types keep their fields in slots and have no instance
-    # __dict__ to write; values built past their check set each slot through
-    # its descriptor's own __set__
+    # __dict__ to write; a build past the checks sets each slot through its
+    # descriptor's own __set__, in parsing.Value._from_checked alone
     for path in sorted((ROOT / "src" / "wormcalc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__dict__"]

@@ -268,20 +268,21 @@ def test_enumeration_walks_positions_without_comparing_or_checking(monkeypatch):
     # check; only the universe's sort compares, its own distinct elements,
     # at most u * ceil(log2 u) times
     compared, checked = [], []
-    ordinal_compare, post_init = ordinal.compare, Point.__post_init__
+    ordinal_compare, point_new = ordinal.compare, Point.__new__
 
     def counting_compare(a, b):
         compared.append((a, b))
         return ordinal_compare(a, b)
 
-    def counting_post_init(self):
-        checked.append(self)
-        post_init(self)
+    def counting_new(cls, coords):
+        checked.append(coords)
+        return point_new(cls, coords)
 
     universe = closed_universe(["w^w+w", "w^(w+1)", "w*2+1", "3"])
     for module in (ordinal, ignatiev):
         monkeypatch.setattr(module, "compare", counting_compare)
-    monkeypatch.setattr(Point, "__post_init__", counting_post_init)
+    # Point's check is its constructor, __new__
+    monkeypatch.setattr(Point, "__new__", counting_new)
     models = []
     for max_index in range(4):
         compared.clear()

@@ -124,6 +124,10 @@ def test_presentation_json_round_trip():
     named = TheoryPresentation.from_json('{"name":"demo","entries":{"2":"2"}}')
     assert named.name == "demo"
     assert named.to_json()["name"] == "demo"
+    # unequal presentations print apart: the repr shows a name that is there
+    assert repr(t) == "TheoryPresentation({0: '0.1', 1: '1'})"
+    assert repr(named) == "TheoryPresentation({2: '2'}, name='demo')"
+    assert repr(TheoryPresentation((), "a")) != repr(TheoryPresentation((), "b"))
     for bad in (
         "[]",
         '{"entries":{"-1":"T"}}',

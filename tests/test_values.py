@@ -80,6 +80,10 @@ def test_constructors_refuse_fields_of_the_wrong_type():
         (LimitTheory, (1, 2)),
         (LimitTheory, ("PA", None)),
         (LimitTheory, (b"PA", "note")),
+        # a name of 5 printed to JSON that from_json refused, and [1] made
+        # a presentation whose hash raised
+        (TheoryPresentation, ((), 5)),
+        (TheoryPresentation, ((), [1])),
     ):
         with pytest.raises(TypeError):
             cls(*args)
