@@ -16,14 +16,10 @@ from . import formula as fm
 from . import ignatiev as ig
 from . import spectrum as sp
 from .ordinal import from_int, parse_ordinal, print_ordinal
-from .parsing import Cursor, ParseError
+from .parsing import Cursor, ParseError, parse_comma_list
 from .worm import compare_worms, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
 
 _COMPARISON_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
-
-
-def _ordinal_text(x, args) -> str:
-    return print_ordinal(x, unicode=not args.ascii)
 
 
 def _point_text(p, args) -> str:
@@ -58,13 +54,7 @@ def _parse_universe(text: str) -> list:
         cur.expect_end()
         return [from_int(i) for i in range(k + 1)]
     # the submodel closes the list under last exponents
-    return [parse_ordinal(part) for part in text.split(",")]
-
-
-def _spectrum_payload(s: sp.Spectrum, args) -> tuple[str, dict]:
-    payload = s.to_json()
-    text = f"{_point_text(s.point, args)} worms: {' '.join(payload['worms'])}"
-    return text, payload
+    return list(parse_comma_list(parse_ordinal, text))
 
 
 def _resolve_spectrum(argument: str):
@@ -86,7 +76,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parsers and printers recurse once per nesting level; ranks do not
+        # the C JSON decoder, the parsers and the printers recurse once per
+        # nesting level; ranks do not
         print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
         return 2
 
@@ -186,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ordinal(args) -> int:
     value = ordinal_of(parse_worm(args.worm), args.level)
-    _emit(args, _ordinal_text(value, args), {"ordinal": print_ordinal(value)})
+    _emit(args, print_ordinal(value, unicode=not args.ascii), {"ordinal": print_ordinal(value)})
     return 0
 
 
@@ -242,8 +233,8 @@ def _cmd_min_point(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     result = sp.normalize(_read_presentation(args.presentation))
-    text, payload = _spectrum_payload(result, args)
-    _emit(args, text, payload)
+    payload = result.to_json()
+    _emit(args, f"{_point_text(result.point, args)} worms: {' '.join(payload['worms'])}", payload)
     return 0
 
 

@@ -15,6 +15,12 @@ directly: their parts are formulas already, or are checked once on the way
 in. A worm keeps its formula in its `formula` slot, and `parse_formula`
 parses each distinct text once per process, from a bounded memo that keeps
 its interned result alive.
+
+Interning makes a formula a DAG: `Implies(f, f)` holds one f, and taken n
+times over makes n + |f| nodes but 2^n paths. Every walk that need not
+recurse goes over the distinct nodes, `parsing.post_order` with `_parts`
+as the children, in constant stack: `max_modality`, and the flat table a
+copy or a pickle goes through. The parser and the printer recurse.
 """
 
 from __future__ import annotations
@@ -49,16 +55,17 @@ class Formula(Interned):
         `Ordinal.__reduce__` does.
 
         Each distinct subformula is one row, parts before the formulas that
-        use them: its class, then its fields, each part named by its row
-        number; the last row is this formula. `_from_table` rebuilds the
-        rows in order through the public constructors, so a copy or an
-        unpickled formula passes their checks and is the one object with
-        its value."""
-        row_of = post_order(self, lambda f: [x for x in f._fields() if isinstance(x, Formula)])
-        rows = tuple(
-            (type(f), *[row_of[x] if isinstance(x, Formula) else x for x in f._fields()]) for f in row_of
-        )
-        return _from_table, (rows,)
+        use them, and every row has one shape: its class, its plain fields
+        (a modal index, or none), and its parts named by their row numbers;
+        the last row is this formula. `_from_table` rebuilds the rows in
+        order through the public constructors, so a copy or an unpickled
+        formula passes their checks and is the one object with its value."""
+        row_of = post_order(self, _parts)
+        rows = []
+        for f in row_of:
+            plain = tuple(x for x in f._fields() if not isinstance(x, Formula))
+            rows.append((type(f), plain, tuple(map(row_of.__getitem__, _parts(f)))))
+        return _from_table, (tuple(rows),)
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -116,15 +123,17 @@ class Diamond(_Modal):
     __slots__ = ()
 
 
+def _parts(f: Formula) -> list[Formula]:
+    """f's immediate subformulas, the children `post_order` walks."""
+    return [x for x in f._fields() if isinstance(x, Formula)]
+
+
 def _from_table(rows: tuple[tuple, ...]) -> Formula:
-    # the inverse of Formula.__reduce__: every row through its constructor
+    # the inverse of Formula.__reduce__: every row through its constructor,
+    # which takes the plain fields before the parts
     built: list[Formula] = []
-    for cls, *fields in rows:
-        if cls is Implies:
-            fields = map(built.__getitem__, fields)
-        elif fields:
-            fields[1] = built[fields[1]]
-        built.append(cls(*fields))
+    for cls, plain, parts in rows:
+        built.append(cls(*plain, *map(built.__getitem__, parts)))
     return built[-1]
 
 
@@ -157,16 +166,9 @@ _set_formula = Worm.formula.__set__
 
 def max_modality(f: Formula) -> int:
     """Largest box/diamond index occurring in f; -1 when purely propositional.
-    The parts still to visit wait on a stack, so any depth takes constant stack."""
-    top, pending = -1, [f]
-    while pending:
-        match pending.pop():
-            case Box(index=n, body=b) | Diamond(index=n, body=b):
-                top = max(top, n)
-                pending.append(b)
-            case Implies(left=l, right=r):
-                pending += (l, r)
-    return top
+    The walk is `post_order`'s, so it takes constant stack and visits each
+    distinct subformula once, however often f shares it."""
+    return max((g.index for g in post_order(f, _parts) if isinstance(g, _Modal)), default=-1)
 
 
 # --- text form ---------------------------------------------------------

@@ -8,13 +8,15 @@ results carry an exactness flag: on a universe that is an initial segment
 of the naturals every possible witness lies inside the fragment and
 evaluation agrees with the full model, otherwise diamonds are
 underapproximated. Evaluation builds one truth vector over the worlds per
-subformula, so it costs O(|W|*|f|) whatever the nesting depth. A fragment
-evaluates each distinct formula it is asked about once: the first query
-costs O(|W|*|f|) and checks the modal indices in the same walk, the same
-formula at each further world costs O(1): the fragment finds the world by
-its coordinate tuple and the vector by the formula, and both keys hash in
-C, since ordinals and formulas are hash-consed and hash by identity; the
-vectors live as long as the model.
+distinct subformula, so it costs O(|W|*|f|) whatever the nesting depth,
+where |f| counts f's distinct subformulas: one that f shares is taken
+once, however many paths lead to it. A fragment evaluates each distinct
+formula it is asked about once: the first query costs O(|W|*|f|) and
+checks the modal indices in the same walk, the same formula at each
+further world costs O(1): the fragment finds the world by its coordinate
+tuple and the vector by the formula, and both keys hash in C, since
+ordinals and formulas are hash-consed and hash by identity; the vectors
+live as long as the model.
 
 `least_world` is the model's join: the coordinatewise least world at or
 above any finite list of ordinals. `spectrum.normalize` places a
@@ -45,7 +47,7 @@ from . import formula as fm
 from .ordinal import (
     ZERO, Ordinal, add, compare, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
-from .parsing import ParseError, Value, is_natural
+from .parsing import ParseError, Value, is_natural, parse_comma_list
 from .worm import Worm
 
 __all__ = [
@@ -126,12 +128,13 @@ class Point(Value):
 
 
 def parse_coords(text: str) -> tuple[Ordinal, ...]:
-    """The raw coordinate list of `<w^w, w, 1>`; no trimming, no validity check."""
+    """The raw coordinate list of `<w^w, w, 1>`; no trimming, no validity
+    check. An error's position counts in text, brackets and whitespace too."""
     s = text.strip()
-    for opener, closer in (("<", ">"), ("⟨", "⟩")):
-        if s.startswith(opener) and s.endswith(closer) and len(s) > 1:
-            body = s[len(opener) : -len(closer)]
-            return tuple(parse_ordinal(part) for part in body.split(","))
+    if len(s) > 1 and s[0] + s[-1] in ("<>", "⟨⟩"):
+        # s[0], the bracket, is text's first non-blank character; the list
+        # starts one past it
+        return tuple(parse_comma_list(parse_ordinal, s[1:-1], text.index(s[0]) + 1))
     raise ParseError("expected an angle-bracketed point like <w, 1>", 0)
 
 
@@ -369,35 +372,44 @@ _RESULTS = tuple(
 )
 
 
-def _truth(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
-    """f's truth value at every world position, one pass per subformula; a box
-    or diamond counts its body over each span (a, _, c) by prefix sums. An
-    index above m's max index raises a bare error for `_vector` to word."""
+def _truth(m: FiniteSubmodel, f: fm.Formula, memo: dict) -> list[bool]:
+    """f's truth value at every world position, one pass per distinct
+    subformula: memo holds the vector of each subformula already taken, so
+    one that f shares is taken once. A box or diamond counts its body over
+    each span (a, _, c) by prefix sums. An index above m's max index raises
+    a bare error for `_vector` to word."""
+    if f in memo:
+        return memo[f]
     match f:
         case fm.Top():
-            return [True] * len(m.worlds)
+            vector = [True] * len(m.worlds)
         case fm.Bottom():
-            return [False] * len(m.worlds)
+            vector = [False] * len(m.worlds)
         case fm.Implies(left=left, right=right):
-            return [not x or y for x, y in zip(_truth(m, left), _truth(m, right))]
+            vector = [not x or y for x, y in zip(_truth(m, left, memo), _truth(m, right, memo))]
         case fm.Box(index=n, body=body) | fm.Diamond(index=n, body=body):
             if n > m.max_index:
                 raise ModalityOutOfRangeError
-            pre = list(accumulate(_truth(m, body), initial=0))
+            pre = list(accumulate(_truth(m, body, memo), initial=0))
             if isinstance(f, fm.Box):
-                return [pre[c] - pre[a] == c - a for a, _, c in m._spans[n]]
-            return [pre[c] > pre[a] for a, _, c in m._spans[n]]
-    raise TypeError(f"not a formula: {f!r}")
+                vector = [pre[c] - pre[a] == c - a for a, _, c in m._spans[n]]
+            else:
+                vector = [pre[c] > pre[a] for a, _, c in m._spans[n]]
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    memo[f] = vector
+    return vector
 
 
 def _vector(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
-    """f's truth vector on m, built and kept on the first query. That query's
-    one walk refuses an index above m's max index, naming f's highest one,
-    and keeps nothing."""
+    """f's truth vector on m, built and kept on the first query. That query
+    holds one vector per distinct subformula of f while it runs, and keeps
+    only f's; its one walk refuses an index above m's max index, naming f's
+    highest one, and keeps nothing."""
     vector = m._vectors.get(f)
     if vector is None:
         try:
-            vector = _truth(m, f)
+            vector = _truth(m, f, {})
         except ModalityOutOfRangeError:
             raise ModalityOutOfRangeError(
                 f"formula mentions [{fm.max_modality(f)}] but the submodel stops at [{m.max_index}]"

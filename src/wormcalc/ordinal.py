@@ -242,13 +242,15 @@ def parse_ordinal(text: str) -> Ordinal:
 # bound only keeps a long-running process from growing it without limit
 @lru_cache(maxsize=1 << 12)
 def _parsed_ordinal(text: str) -> Ordinal:
-    text = text.strip()
+    stripped = text.strip()
     # a plain numeral, the whole of a chain universe, needs no scan and no
     # second check; "00", other scripts' digits and the rest go through the
     # Cursor
-    if are_numerals((text,)):
-        return Ordinal._from_checked(((ZERO, int(text)),)) if text != "0" else ZERO
-    cur = Cursor(text)
+    if are_numerals((stripped,)):
+        return Ordinal._from_checked(((ZERO, int(stripped)),)) if stripped != "0" else ZERO
+    # the scan starts past the leading whitespace of text itself, so that an
+    # error's position counts in text
+    cur = Cursor(text.rstrip(), len(text) - len(text.lstrip()))
     value = _parse_ordinal(cur)
     cur.expect_end()
     return value

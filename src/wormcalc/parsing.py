@@ -16,7 +16,9 @@ worms: one weak table, here, holds the one live object per value, so that
 equality is identity, and every rule of that hash-consing is written once,
 in this module. `post_order` lists the distinct nodes of such a value in
 constant stack, which is how ordinals and formulas copy and pickle through
-a flat table.
+a flat table, and how `formula.max_modality` reads a formula's indices.
+`parse_comma_list` reads a comma-separated list with any item parser, and
+places an item's error in the whole text.
 """
 
 from __future__ import annotations
@@ -194,23 +196,38 @@ def post_order(root, children) -> dict:
 
 
 class ParseError(ValueError):
-    """Syntax or canonicity error, carrying the 0-based input position."""
+    """Syntax or canonicity error, carrying its message and the 0-based
+    input position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
+
+
+def parse_comma_list(parse, text: str, offset: int = 0):
+    """Yield parse(piece) for each comma-separated piece of text, in order.
+
+    text starts at offset in the text the caller was given, and a piece's
+    ParseError, whose position counts in the piece, is raised again with
+    its position counted in that text."""
+    for piece in text.split(","):
+        try:
+            yield parse(piece)
+        except ParseError as error:
+            raise ParseError(error.message, offset + error.position) from None
+        offset += len(piece) + 1
 
 
 class Cursor:
-    """A peek/expect cursor over a source string.
+    """A peek/expect cursor over a source string, from position pos.
 
     Whitespace is not skipped automatically; grammars that allow it call
     :meth:`skip_ws` explicitly.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""

@@ -31,7 +31,7 @@ from typing import Mapping, Union
 from .ignatiev import Point, least_world, print_point, valid_point
 from .ordinal import ZERO, Ordinal, from_int, omega_power, parse_ordinal, print_ordinal
 from .parsing import Value, are_numerals, is_natural
-from .worm import Worm, _worm_of, parse_worm, print_worm, worm_of_ordinal
+from .worm import Worm, parse_worm, print_worm, worm_of_ordinal
 
 __all__ = [
     "TheoryPresentation",
@@ -144,9 +144,7 @@ class Spectrum(Value):
         return tuple(worm_of_ordinal(c, n) for n, c in enumerate(self.point.coords))
 
     def as_presentation(self, name: str | None = None) -> TheoryPresentation:
-        return TheoryPresentation.of(
-            {n: w for n, w in enumerate(self.worms)}, name
-        )
+        return TheoryPresentation(tuple(enumerate(self.worms)), name)
 
     def to_json(self) -> dict:
         """{"coords": [CNF text], "worms": [canonical worm text]}, one item
@@ -178,11 +176,8 @@ class Spectrum(Value):
 def _views(coords: tuple[Ordinal, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     # each coordinate as CNF text, and coordinate n's canonical worm at
     # level n as text; only immutable tuples of strings are kept
-    worms = []
-    for n, c in enumerate(coords):
-        letters = _worm_of(c, n)
-        worms.append(".".join(map(str, letters)) if letters else "T")
-    return tuple(map(print_ordinal, coords)), tuple(worms)
+    worms = tuple(print_worm(worm_of_ordinal(c, n)) for n, c in enumerate(coords))
+    return tuple(map(print_ordinal, coords)), worms
 
 
 def normalize(t: TheoryPresentation) -> Spectrum:

@@ -233,12 +233,12 @@ def parse_worm(text: str) -> Worm:
 # only while something else held it; the memo holds it, and skips the scan
 @lru_cache(maxsize=1 << 12)
 def _parsed_worm(text: str) -> Worm:
-    text = text.strip()
-    pieces = text.split(".")
+    pieces = text.strip().split(".")
     if are_numerals(pieces):
         return Worm._from_checked(tuple(map(int, pieces)))
-    # the diamond form, or malformed text: scan it, and fail where the scan stops
-    cur = Cursor(text)
+    # the diamond form, or malformed text: scan it, and fail where the scan
+    # stops, counting from the start of text itself, leading whitespace too
+    cur = Cursor(text.rstrip(), len(text) - len(text.lstrip()))
     letters = []
     if cur.peek() in ("<", "T"):
         while cur.try_eat("<"):

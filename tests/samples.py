@@ -145,8 +145,11 @@ def parse_outcome(parser, text: str):
 
 def cursor_parse_worm(text: str) -> Worm:
     """The worm grammar read by a Cursor scan, one letter at a time. An
-    oracle for `parse_worm`, which splits the dot form on "." instead."""
-    cur = Cursor(text.strip())
+    oracle for `parse_worm`, which splits the dot form on "." instead. The
+    scan starts past the leading whitespace, so error positions count in
+    text, and on a blank text point at its end."""
+    cur = Cursor(text.rstrip())
+    cur.pos = len(text) - len(text.lstrip())
     if cur.try_eat("T"):
         cur.expect_end()
         return Worm()
@@ -176,8 +179,11 @@ def _cursor_index(cur: Cursor) -> int:
 def cursor_parse_ordinal(text: str) -> Ordinal:
     """The ordinal grammar read with an atom/factor split, each term checked
     against and appended to the sum built so far. An oracle for
-    `parse_ordinal`, which reads every term first and builds the sum once."""
-    cur = Cursor(text.strip())
+    `parse_ordinal`, which reads every term first and builds the sum once.
+    The scan starts past the leading whitespace, so error positions count
+    in text, and on a blank text point at its end."""
+    cur = Cursor(text.rstrip())
+    cur.pos = len(text) - len(text.lstrip())
     value = _cursor_ordinal(cur)
     cur.expect_end()
     return value

@@ -250,6 +250,27 @@ def test_deep_inputs_exit_2(capsys):
         assert err.startswith("error: input nested too deeply"), argv[0]
 
 
+def test_coordinate_errors_count_positions_in_the_argument(capsys):
+    # a coordinate's error is placed in the whole point or universe text
+    for argv, position in (
+        (("point-check", "<1, w^>"), 6),
+        (("valid", "--universe", "w,w^", "T"), 4),
+        (("forces", "--universe", "0, 1,w+w", "<0>", "T"), 7),
+        (("point-check", " <w, 00>"), 5),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+        assert err.startswith("parse error: ") and err.endswith(f"(at position {position})\n"), argv
+
+
+def test_deeply_nested_json_exits_2(capsys):
+    # the C JSON decoder recurses once per nesting level, and past the
+    # recursion limit raises RecursionError, which main reports
+    text = '{"entries":' + "[" * 100000 + "]" * 100000 + "}"
+    code, out, err = run(capsys, "spectrum", text)
+    assert (code, out, err) == (2, "", "error: input nested too deeply (recursion limit reached)\n")
+
+
 def test_universe_error_position(capsys):
     for universe in ("finite:١", "finite:01"):
         code, _, err = run(capsys, "model", "--universe", universe)

@@ -93,10 +93,10 @@ def test_exports_are_defined_and_reexports_are_exported():
             assert sorted(alias.name for alias in node.names if alias.name not in names) == [], node.module
 
 
-# spectrum reads a point's canonical worm letters straight from worm's
-# letter-level inverse, and JSON output never builds a Worm from them; the
-# rank table and the head cut stay inside worm.py
-SIBLING_PRIVATE_IMPORTS = {("spectrum", "worm", "_worm_of")}
+# the private names one module may import from another: none. spectrum
+# prints a point's canonical worms with worm's public `print_worm`, and the
+# rank table, the head cut and the letter-level inverse stay inside worm.py
+SIBLING_PRIVATE_IMPORTS = set()
 
 
 def test_modules_share_no_private_names_and_one_numeral_rule():

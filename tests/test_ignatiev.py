@@ -1,14 +1,18 @@
 import gc
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
 import samples
-from samples import axiom_instances, rank_criterion, relation_holds
+from samples import axiom_instances, parse_outcome, rank_criterion, relation_holds
 from wormcalc import ignatiev, ordinal, worm
 from wormcalc.formula import (
     Bottom,
@@ -98,6 +102,23 @@ def test_point_text_round_trip():
     assert print_point(ISIGMA1, unicode=True) == "⟨ω^ω, ω, 1⟩"
     assert parse_point(print_point(ISIGMA1, unicode=True)) == ISIGMA1
     assert parse_coords("<2, 1>") == (from_int(2), from_int(1))
+
+
+def test_parse_errors_count_positions_in_the_text_passed():
+    # leading whitespace, brackets and earlier coordinates all count
+    for parser, text, position in (
+        (parse_ordinal, "  w^", 4),
+        (parse_ordinal, "\t w+w", 4),
+        (parse_ordinal, "   ", 3),
+        # a leading-zeros error points at the numeral's first digit
+        (parse_worm, "  0.01", 4),
+        (parse_worm, " <1>Tx ", 5),
+        (parse_coords, "<1, w^>", 6),
+        (parse_coords, "  ⟨w, 1,, 0⟩", 8),
+        (parse_point, " <w^w, 01>", 7),
+    ):
+        message, at = parse_outcome(parser, text)
+        assert at == position and message.endswith(f"(at position {position})"), (text, message)
 
 
 def test_world_condition_examples():
@@ -445,13 +466,14 @@ def node_count(f):
 
 def test_each_formula_is_evaluated_once_per_fragment(monkeypatch):
     # _truth recurses through the module global, so the wrapper sees every
-    # subformula vector built
+    # call; these formulas share no subformula but T, so a query makes one
+    # call per node of f's tree, and builds one vector per distinct node
     built = []
     truth = ignatiev._truth
 
-    def counting(m, f):
+    def counting(m, f, memo):
         built.append(f)
-        return truth(m, f)
+        return truth(m, f, memo)
 
     monkeypatch.setattr(ignatiev, "_truth", counting)
     m = enumerate_submodel([ZERO, from_int(1), from_int(2), W, W_TO_W], 2)
@@ -463,6 +485,33 @@ def test_each_formula_is_evaluated_once_per_fragment(monkeypatch):
     validity_check(formulas[0], m)
     assert len(m.worlds) > 1
     assert len(built) == sum(node_count(f) for f in formulas)
+
+
+def test_shared_subformulas_are_walked_once():
+    # Implies(f, f) taken 64 times over <1>T is 66 distinct formulas but 2^64
+    # paths from the top; a walk along the paths would not end, so the
+    # queries run in a subprocess that a timeout stops
+    script = """
+from wormcalc.formula import Implies, max_modality, parse_formula
+from wormcalc.ignatiev import enumerate_submodel, forces, validity_check
+from wormcalc.ordinal import from_int
+f = parse_formula("<1>T")
+for _ in range(64):
+    f = Implies(f, f)
+m = enumerate_submodel([from_int(i) for i in range(4)], 1)
+print(max_modality(f), all(forces(m, p, f) for p in m.worlds), validity_check(f, m))
+"""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "1 True ForcingResult(value=True, exact=True)\n"
 
 
 def test_worm_ranks_are_taken_once_per_worm(monkeypatch):
