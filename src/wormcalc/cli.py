@@ -61,7 +61,7 @@ def _resolve_spectrum(argument: str):
     named = sp.registry()
     if argument in named:
         return named[argument]
-    return sp.Spectrum.of_point(ig.valid_point(ig.parse_coords(argument)))
+    return sp.Spectrum(ig.valid_point(ig.parse_coords(argument)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as error:
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except RecursionError:
@@ -95,6 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--ascii", action="store_true", help="grammar-form ASCII output (default is unicode)"
     )
+    leveled = argparse.ArgumentParser(add_help=False, parents=[common])
+    leveled.add_argument("-n", "--level", type=natural, default=0)
+    fragment = argparse.ArgumentParser(add_help=False, parents=[common])
+    fragment.add_argument("--universe", required=True)
+    fragment.add_argument("--max-index", type=natural, default=None)
 
     parser = _Parser(
         prog="wormcalc",
@@ -102,20 +107,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("o", parents=[common], help="ordinal denoted by a worm at a level")
-    p.add_argument("-n", "--level", type=natural, default=0)
+    p = sub.add_parser("o", parents=[leveled], help="ordinal denoted by a worm at a level")
     p.add_argument("worm")
     p.set_defaults(handler=_cmd_ordinal)
 
-    p = sub.add_parser("compare", parents=[common], help="compare two worms at a level")
-    p.add_argument("-n", "--level", type=natural, default=0)
+    p = sub.add_parser("compare", parents=[leveled], help="compare two worms at a level")
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(handler=_cmd_compare)
 
     for name, title in (("head", "leading block at a level"), ("rem", "what the head leaves")):
-        p = sub.add_parser(name, parents=[common], help=title)
-        p.add_argument("-n", "--level", type=natural, default=0)
+        p = sub.add_parser(name, parents=[leveled], help=title)
         p.add_argument("worm")
         p.set_defaults(handler=_cmd_head if name == "head" else _cmd_rem)
 
@@ -159,16 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_model)
 
-    p = sub.add_parser("forces", parents=[common], help="evaluate a formula at a world")
-    p.add_argument("--universe", required=True)
-    p.add_argument("--max-index", type=natural, default=None)
+    p = sub.add_parser("forces", parents=[fragment], help="evaluate a formula at a world")
     p.add_argument("point")
     p.add_argument("formula")
     p.set_defaults(handler=_cmd_forces)
 
-    p = sub.add_parser("valid", parents=[common], help="check a formula at every world")
-    p.add_argument("--universe", required=True)
-    p.add_argument("--max-index", type=natural, default=None)
+    p = sub.add_parser("valid", parents=[fragment], help="check a formula at every world")
     p.add_argument("formula")
     p.set_defaults(handler=_cmd_valid)
 
@@ -269,9 +267,8 @@ def _cmd_model(args) -> int:
     if args.dot and args.dot != "-":
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dot)
-        destination = args.dot
-    else:
-        destination = None
+    elif not args.json:
+        print(dot, end="")
     edge_counts = {str(n): model.edge_count(n) for n in range(model.max_index + 1)}
     if args.json:
         payload = {
@@ -280,8 +277,6 @@ def _cmd_model(args) -> int:
             "witness_complete": model.witness_complete,
         }
         print(json.dumps(payload))
-    elif destination is None:
-        print(dot, end="")
     print(
         f"worlds={len(model.worlds)} "
         + " ".join(f"edges[{n}]={k}" for n, k in edge_counts.items()),

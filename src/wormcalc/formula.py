@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .parsing import Cursor, Interned, ParseError, is_natural, post_order
+from .parsing import Cursor, Interned, ParseError, post_order, require_natural
 from .worm import Worm
 
 __all__ = [
@@ -110,9 +110,7 @@ class _Modal(Formula):
     __slots__ = __match_args__ = ("index", "body")
 
     def __new__(cls, index: int, body: Formula):
-        if not is_natural(index):
-            raise ValueError(f"modal index {index!r} must be a natural number")
-        return cls._from_checked(index, _formula(body))
+        return cls._from_checked(require_natural(index, "modal index"), _formula(body))
 
 
 class Box(_Modal):

@@ -47,7 +47,7 @@ from . import formula as fm
 from .ordinal import (
     ZERO, Ordinal, add, compare, last_exponent, omega_power, parse_ordinal, print_ordinal
 )
-from .parsing import ParseError, Value, is_natural, parse_comma_list
+from .parsing import ParseError, Value, is_natural, parse_comma_list, require_natural
 from .worm import Worm
 
 __all__ = [
@@ -116,9 +116,7 @@ class Point(Value):
         return cls(tuple(stored))
 
     def coord(self, n: int) -> Ordinal:
-        if not is_natural(n):
-            raise ValueError(f"coordinate {n!r} must be a natural number")
-        return self.coords[n] if n < len(self.coords) else ZERO
+        return self.coords[n] if require_natural(n, "coordinate") < len(self.coords) else ZERO
 
     def __str__(self) -> str:
         return print_point(self)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 
-from .parsing import Cursor, Interned, ParseError, are_numerals, is_natural, post_order
+from .parsing import Cursor, Interned, ParseError, is_natural, post_order, require_natural
 
 __all__ = [
     "Ordinal",
@@ -130,9 +130,7 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
-    if not is_natural(n):
-        raise ValueError(f"value {n!r} must be a natural number")
-    return Ordinal._from_checked(((ZERO, n),)) if n else ZERO
+    return Ordinal._from_checked(((ZERO, n),)) if require_natural(n, "value") else ZERO
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
@@ -205,8 +203,7 @@ def hyperexp(n: int, x: Ordinal) -> Ordinal:
     The base map sends 0 to 0 (the "-1 +" cancels w^0 = 1) and any x > 0 to
     w^x, which is then already additively indecomposable.
     """
-    if not is_natural(n):
-        raise ValueError(f"iteration count {n!r} must be a natural number")
+    require_natural(n, "iteration count")
     if not isinstance(x, Ordinal):
         raise TypeError(f"{x!r} is not an Ordinal")
     for _ in range(n):
@@ -242,12 +239,6 @@ def parse_ordinal(text: str) -> Ordinal:
 # bound only keeps a long-running process from growing it without limit
 @lru_cache(maxsize=1 << 12)
 def _parsed_ordinal(text: str) -> Ordinal:
-    stripped = text.strip()
-    # a plain numeral, the whole of a chain universe, needs no scan and no
-    # second check; "00", other scripts' digits and the rest go through the
-    # Cursor
-    if are_numerals((stripped,)):
-        return Ordinal._from_checked(((ZERO, int(stripped)),)) if stripped != "0" else ZERO
     # the scan starts past the leading whitespace of text itself, so that an
     # error's position counts in text
     cur = Cursor(text.rstrip(), len(text) - len(text.lstrip()))

@@ -2,10 +2,12 @@
 
 Worm letters, modal indices, presentation levels, relation numbers,
 iteration counts and CLI integers are all naturals, and each rule for them
-is written once, here: `is_natural` for values (an int n >= 0, not a bool);
-`are_numerals` for whole strings and `Cursor.numeral` for a scan, both
-ASCII digits without leading zeros. Parsers and public constructors check
-their inputs with these, once, and build their results unchecked.
+is written once, here: `is_natural` for values (an int n >= 0, not a bool),
+and `require_natural`, the one refusal of an argument that is not one, which
+names the argument and shows its value; `Cursor.numeral` for a scan, and
+`are_numerals` for the keys of a JSON object, both ASCII digits without
+leading zeros. Parsers and public constructors check their inputs with
+these, once, and build their results unchecked.
 
 `Value` is the base every value type shares: slotted, closed to every
 attribute write once it is built, and built past its checks in one way,
@@ -40,12 +42,21 @@ def is_natural(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
+def require_natural(n, noun: str) -> int:
+    """n, once it is checked to be a natural; else a ValueError that names
+    the argument by its noun ("letter", "level", ...) and shows n's repr."""
+    if not is_natural(n):
+        raise ValueError(f"{noun} {n!r} must be a natural number")
+    return n
+
+
 def are_numerals(pieces) -> bool:
     """Whether every piece is a string of ASCII digits without leading zeros.
 
-    One call covers a whole text (its pieces) or a whole JSON object (its
-    keys), so a hot path pays one Python call, not one per piece; a piece
-    that is not a string makes the answer False.
+    It reads JSON object keys only, the levels of a presentation: one call
+    covers a whole object, so a hot path pays one Python call, not one per
+    key; a piece that is not a string makes the answer False. Texts are
+    scanned with `Cursor.numeral`.
     """
     try:
         for piece in pieces:
@@ -197,11 +208,14 @@ def post_order(root, children) -> dict:
 
 class ParseError(ValueError):
     """Syntax or canonicity error, carrying its message and the 0-based
-    input position."""
+    input position; both are its args, so it copies and pickles."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message, position)
         self.message, self.position = message, position
+
+    def __str__(self) -> str:
+        return f"{self.message} (at position {self.position})"
 
 
 def parse_comma_list(parse, text: str, offset: int = 0):

@@ -28,8 +28,8 @@ from itertools import zip_longest
 from operator import itemgetter
 from typing import Mapping, Union
 
-from .ignatiev import Point, least_world, print_point, valid_point
-from .ordinal import ZERO, Ordinal, from_int, omega_power, parse_ordinal, print_ordinal
+from .ignatiev import Point, least_world, parse_point, print_point, valid_point
+from .ordinal import ZERO, Ordinal, parse_ordinal, print_ordinal
 from .parsing import Value, are_numerals, is_natural
 from .worm import Worm, parse_worm, print_worm, worm_of_ordinal
 
@@ -163,7 +163,7 @@ class Spectrum(Value):
         coords = data.get("coords") if isinstance(data, dict) else None
         if not isinstance(coords, list) or not all(isinstance(text, str) for text in coords):
             raise ValueError('spectrum JSON needs a "coords" list of ordinal strings')
-        return cls.of_point(valid_point([parse_ordinal(text) for text in coords]))
+        return cls(valid_point([parse_ordinal(text) for text in coords]))
 
     def __repr__(self):
         return f"Spectrum({print_point(self.point)})"
@@ -246,13 +246,10 @@ def registry() -> dict[str, Spectrum | LimitTheory]:
     their known points, one relation-2 step apart. Full arithmetic has
     every coordinate equal to the limit ordinal and therefore no point.
     """
-    w = omega_power(from_int(1))
-    w_to_w = omega_power(w)
-    one = from_int(1)
     return {
-        "EA+": Spectrum.of_point(Point.of([from_int(0)])),
-        "ISigma1": Spectrum.of_point(Point.of([w_to_w, w, one])),
-        "PRA": Spectrum.of_point(Point.of([w_to_w, w])),
+        "EA+": Spectrum(parse_point("<0>")),
+        "ISigma1": Spectrum(parse_point("<w^w, w, 1>")),
+        "PRA": Spectrum(parse_point("<w^w, w>")),
         "PA": LimitTheory(
             "PA", "limit: every coordinate is epsilon_0, outside the model"
         ),

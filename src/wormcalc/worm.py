@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ordinal import ONE, ZERO, Ordinal, add, compare, omega_power
-from .parsing import Cursor, Interned, are_numerals, is_natural
+from .parsing import Cursor, Interned, require_natural
 
 __all__ = [
     "Worm",
@@ -66,8 +66,7 @@ class Worm(Interned):
         if type(letters) is not tuple:
             raise TypeError(f"letters {letters!r} are not a tuple")
         for letter in letters:
-            if not is_natural(letter):
-                raise ValueError(f"letter {letter!r} must be a natural number")
+            require_natural(letter, "letter")
         return cls._from_checked(letters)
 
     def __getattr__(self, name: str):
@@ -100,21 +99,14 @@ def _cut(letters: tuple[int, ...], n: int) -> int:
     return cut
 
 
-def _level(n: int) -> int:
-    # n, once it is checked to be a natural: every level argument's rule
-    if not is_natural(n):
-        raise ValueError(f"level {n!r} must be a natural number")
-    return n
-
-
 def head(a: Worm, n: int) -> Worm:
     """The maximal leading block of letters that are all >= n."""
-    return Worm._from_checked(a.letters[: _cut(a.letters, _level(n))])
+    return Worm._from_checked(a.letters[: _cut(a.letters, require_natural(n, "level"))])
 
 
 def remainder(a: Worm, n: int) -> Worm:
     """What head(a, n) leaves behind: empty, or starting with a letter < n."""
-    return Worm._from_checked(a.letters[_cut(a.letters, _level(n)) :])
+    return Worm._from_checked(a.letters[_cut(a.letters, require_natural(n, "level")) :])
 
 
 def _ranks(letters: tuple[int, ...]) -> tuple[Ordinal, ...]:
@@ -166,7 +158,7 @@ def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
     top letter the head is empty and the rank is 0.
     """
     ranks = a.ranks
-    return ranks[level] if _level(level) < len(ranks) else ZERO
+    return ranks[level] if require_natural(level, "level") < len(ranks) else ZERO
 
 
 def compare_worms(a: Worm, b: Worm, level: int = 0) -> int:
@@ -187,7 +179,7 @@ def worm_of_ordinal(x: Ordinal, level: int = 0) -> Worm:
     becomes the worm of e shifted up one level, the copies joined by 0s;
     at level n every letter is shifted up by n.
     """
-    return Worm._from_checked(_worm_of(x, _level(level)))
+    return Worm._from_checked(_worm_of(x, require_natural(level, "level")))
 
 
 def _worm_of(x: Ordinal, base: int) -> tuple[int, ...]:
@@ -233,11 +225,8 @@ def parse_worm(text: str) -> Worm:
 # only while something else held it; the memo holds it, and skips the scan
 @lru_cache(maxsize=1 << 12)
 def _parsed_worm(text: str) -> Worm:
-    pieces = text.strip().split(".")
-    if are_numerals(pieces):
-        return Worm._from_checked(tuple(map(int, pieces)))
-    # the diamond form, or malformed text: scan it, and fail where the scan
-    # stops, counting from the start of text itself, leading whitespace too
+    # a malformed text fails where the scan stops, counting from the start
+    # of text itself, leading whitespace too
     cur = Cursor(text.rstrip(), len(text) - len(text.lstrip()))
     letters = []
     if cur.peek() in ("<", "T"):

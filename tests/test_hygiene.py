@@ -2,10 +2,12 @@
 that imports nothing outside the standard library and no dataclasses,
 exports that name what the modules define, modules that share no private
 names, formats that one module alone decodes, hash-consing and value builds
-that one module alone writes, and memos that are bounded."""
+that one module alone writes, memos that are bounded, and the rule of the
+code-line counter."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -108,8 +110,10 @@ def test_modules_share_no_private_names_and_one_numeral_rule():
                 names = [alias.name for alias in node.names if alias.name.startswith("_")]
                 private = {(path.stem, node.module, name) for name in names}
                 assert private <= SIBLING_PRIVATE_IMPORTS, private
-        # the text rule for numerals lives in parsing.py alone
+        # the text rule for numerals lives in parsing.py alone, and texts
+        # are scanned with the Cursor: only JSON keys go through are_numerals
         assert "isdigit(" not in text or path.name == "parsing.py", path.name
+        assert "are_numerals(" not in text or path.name in ("parsing.py", "spectrum.py"), path.name
 
 
 def test_unchecked_points_stay_in_their_modules_and_order_keys_are_gone():
@@ -217,3 +221,34 @@ def test_memos_are_bounded():
     # bench tracer, which wraps only functions, still sees each call
     for module, name in (("worm", "parse_worm"), ("ordinal", "parse_ordinal"), ("formula", "parse_formula")):
         assert inspect.isfunction(getattr(importlib.import_module(f"wormcalc.{module}"), name)), name
+
+
+COUNTED_SOURCE = '''"""A module docstring,
+over two lines."""
+
+# a comment line
+import os  # a comment after code
+
+
+class A:
+    """A class docstring."""
+
+    table = {
+        "key": """a string that is a value,
+        not a docstring""",
+    }
+
+    def f(self):
+        \'\'\'A function docstring.\'\'\'
+        return (1 +
+                2)
+'''
+
+
+def test_code_line_counter_leaves_out_comments_blanks_and_docstrings():
+    # the rule of every size figure in ROADMAP.md and CHANGES.md
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    # import, class, the four lines of the table, def and the two of return
+    assert code_lines.code_lines(COUNTED_SOURCE) == 9

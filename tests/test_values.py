@@ -15,6 +15,7 @@ import samples
 from wormcalc.formula import Bottom, Box, Diamond, Implies, Top, parse_formula, print_formula
 from wormcalc.ignatiev import ForcingResult, Point, parse_point
 from wormcalc.ordinal import ONE, ZERO, Ordinal, from_int, hyperexp, omega_power, parse_ordinal, print_ordinal
+from wormcalc.parsing import ParseError
 from wormcalc.spectrum import LimitTheory, Spectrum, TheoryPresentation, normalize, registry
 from wormcalc.worm import TOP, Worm, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
 
@@ -66,6 +67,15 @@ def test_copies_and_pickles_are_equal_values():
         for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(twin) is type(v), type(v)
             assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+
+
+def test_parse_errors_copy_and_pickle():
+    # a parse error raised in a worker process reaches its caller pickled
+    error = ParseError("bad", 3)
+    assert (str(error), repr(error)) == ("bad (at position 3)", "ParseError('bad', 3)")
+    for twin in (copy.copy(error), copy.deepcopy(error), pickle.loads(pickle.dumps(error))):
+        assert type(twin) is ParseError
+        assert (twin.message, twin.position, str(twin)) == ("bad", 3, "bad (at position 3)")
 
 
 def test_constructors_refuse_fields_of_the_wrong_type():
