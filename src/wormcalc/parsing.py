@@ -5,7 +5,7 @@ iteration counts and CLI integers are all naturals, and each rule for them
 is written once, here: `is_natural` for values (an int n >= 0, not a bool),
 and `require_natural`, the one refusal of an argument that is not one, which
 names the argument and shows its value; `Cursor.numeral` for a scan, and
-`are_numerals` for the keys of a JSON object, both ASCII digits without
+`is_numeral` for one key of a JSON object, both ASCII digits without
 leading zeros. Parsers and public constructors check their inputs with
 these, once, and build their results unchecked.
 
@@ -50,21 +50,11 @@ def require_natural(n, noun: str) -> int:
     return n
 
 
-def are_numerals(pieces) -> bool:
-    """Whether every piece is a string of ASCII digits without leading zeros.
-
-    It reads JSON object keys only, the levels of a presentation: one call
-    covers a whole object, so a hot path pays one Python call, not one per
-    key; a piece that is not a string makes the answer False. Texts are
-    scanned with `Cursor.numeral`.
-    """
-    try:
-        for piece in pieces:
-            if not (str.isdigit(piece) and piece.isascii()) or (piece[0] == "0" and len(piece) > 1):
-                return False
-    except TypeError:
-        return False
-    return True
+def is_numeral(piece) -> bool:
+    """Whether piece is a string of ASCII digits without leading zeros;
+    False for a non-string. It reads the keys of a presentation's JSON, its
+    levels; texts are scanned with `Cursor.numeral`."""
+    return isinstance(piece, str) and piece.isdigit() and piece.isascii() and (piece[0] != "0" or len(piece) == 1)
 
 
 def _build(*key):

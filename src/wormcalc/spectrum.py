@@ -16,6 +16,15 @@ ranks gets the one shared, immutable `Spectrum`. A spectrum's JSON shows
 each coordinate twice: as CNF text, and as the canonical worm that denotes
 it at its level; both lists of strings are made once per distinct point.
 
+Reading JSON text runs almost no Python per object or per entry. The
+decoder's pairs hook is the C type `tuple`, so each object decodes to the
+tuple of its pairs, and `raw_decode` is called from the first non-space
+character, with json.loads's errors kept. Each object that is read becomes
+a dict and refuses a repeated key; nothing inside an ignored value is read
+or checked. A presentation's entries are (level key, worm text) pairs, and
+each distinct pair is checked and parsed once per process, from a bounded
+memo, `_entry`: a presentation never seen before mostly hits it too.
+
 Conservation between two theories reads off directly: the largest level at
 which the two points still agree.
 """
@@ -25,12 +34,11 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import zip_longest
-from operator import itemgetter
 from typing import Mapping, Union
 
 from .ignatiev import Point, least_world, parse_point, print_point, valid_point
 from .ordinal import ZERO, Ordinal, parse_ordinal, print_ordinal
-from .parsing import Value, are_numerals, is_natural
+from .parsing import Value, is_natural, is_numeral
 from .worm import Worm, parse_worm, print_worm, worm_of_ordinal
 
 __all__ = [
@@ -44,20 +52,57 @@ __all__ = [
 ]
 
 
-def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object; json.loads alone keeps the last of two equal keys."""
-    data = dict(pairs)
-    if len(data) < len(pairs):
+# each JSON object decodes, in C, to the tuple of its pairs; arrays stay
+# lists, so among decoded values a tuple is exactly an object
+_JSON = json.JSONDecoder(object_pairs_hook=tuple)
+_SPACE = " \t\n\r"  # JSON whitespace; str.isspace would take more
+
+
+def _decode(text: str):
+    """The value `JSONDecoder.decode` reads from text, each object as the
+    tuple of its pairs, and the same errors, message and position."""
+    value, end = _JSON.raw_decode(text, len(text) - len(text.lstrip(_SPACE)))
+    rest = text[end:].lstrip(_SPACE) if end < len(text) else ""
+    if rest:
+        raise json.JSONDecodeError("Extra data", text, len(text) - len(rest))
+    return value
+
+
+def _object(value, decoded: bool) -> dict | None:
+    """A JSON object that is read, as a dict; None for any other value.
+
+    A decoded object's pairs become a dict here, and it is refused if it
+    repeats a key, which json.loads would read as its last value. A
+    caller's dict is taken as it is, and a caller's tuple is no object."""
+    if not decoded:
+        return value if isinstance(value, dict) else None
+    if type(value) is not tuple:
+        return None
+    data = dict(value)
+    if len(data) < len(value):
         seen = set()
-        for key, _ in pairs:
+        for key, _ in value:
             if key in seen:
                 raise ValueError(f"JSON key {key!r} is repeated")
             seen.add(key)
     return data
 
 
-# built once: json.loads(text, object_pairs_hook=...) builds a decoder per call
-_JSON = json.JSONDecoder(object_pairs_hook=_distinct_keys)
+# the 83,130 acceptance presentations have 1,364 distinct (level, worm text)
+# entries, 341 texts at each of 4 levels, so the memo never evicts, and it
+# pays on presentations never seen before; the bound only keeps a
+# long-running process from growing it without limit
+@lru_cache(maxsize=1 << 12)
+def _entry(key: str, text: str) -> tuple[int, Worm]:
+    """One entry of a presentation's JSON, its key and its worm text, as
+    (level, worm); distinct keys name distinct levels only without leading
+    zeros. The memo's key is the argument tuple, (key, text), and a refused
+    pair keeps nothing."""
+    if not is_numeral(key):
+        raise ValueError(f"level {key!r} must be a natural number without leading zeros")
+    if not isinstance(text, str):
+        raise ValueError(f"the worm at level {key} must be a string")
+    return int(key), parse_worm(text)
 
 
 class TheoryPresentation(Value):
@@ -93,25 +138,23 @@ class TheoryPresentation(Value):
 
     @classmethod
     def from_json(cls, data: Union[str, dict]) -> "TheoryPresentation":
-        if isinstance(data, str):
-            data = _JSON.decode(data)
-        if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
+        decoded = isinstance(data, str)
+        data = _object(_decode(data) if decoded else data, decoded)
+        entries = None if data is None else _object(data.get("entries"), decoded)
+        if entries is None:
             raise ValueError('presentation JSON needs an "entries" object')
         name = data.get("name")
         if "name" in data and not isinstance(name, str):
             raise ValueError('the presentation "name" must be a string')
-        entries = []
-        # distinct keys name distinct levels only without leading zeros; the
-        # keys are checked together, and one by one only to name a bad one
-        numerals = are_numerals(data["entries"])
-        for key, text in data["entries"].items():
-            if not (numerals or are_numerals((key,))):
-                raise ValueError(f"level {key!r} must be a natural number without leading zeros")
-            if not isinstance(text, str):
-                raise ValueError(f"the worm at level {key} must be a string")
-            entries.append((int(key), parse_worm(text)))
-        entries.sort(key=itemgetter(0))
-        return cls._from_checked(tuple(entries), name)
+        try:
+            # distinct numerals are distinct levels, so no two worms compare
+            return cls._from_checked(tuple(sorted(map(_entry, entries, entries.values()))), name)
+        except TypeError:
+            # an unhashable worm, such as a JSON array, reaches no memo; the
+            # checks alone name the first refused pair
+            for key, text in entries.items():
+                _entry.__wrapped__(key, text)
+            raise
 
     def __repr__(self):
         inner = ", ".join(f"{level}: {print_worm(w)!r}" for level, w in self.entries)
@@ -158,9 +201,9 @@ class Spectrum(Value):
 
     @classmethod
     def from_json(cls, data: Union[str, dict]) -> "Spectrum":
-        if isinstance(data, str):
-            data = _JSON.decode(data)
-        coords = data.get("coords") if isinstance(data, dict) else None
+        decoded = isinstance(data, str)
+        data = _object(_decode(data) if decoded else data, decoded)
+        coords = None if data is None else data.get("coords")
         if not isinstance(coords, list) or not all(isinstance(text, str) for text in coords):
             raise ValueError('spectrum JSON needs a "coords" list of ordinal strings')
         return cls(valid_point([parse_ordinal(text) for text in coords]))

@@ -211,9 +211,12 @@ def test_parse_errors_exit_2(capsys):
         # labels must name worlds of the fragment
         ("model", "--universe", "finite:2", "--max-index", "1", "--label", "<7>=X"),
         ("model", "--universe", "finite:2", "--max-index", "1", "--label", "<2, 1>=X"),
+        # a label is POINT=NAME
+        ("model", "--universe", "finite:2", "--max-index", "1", "--label", "<1>"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err.count("\n")) == (2, "", 1), argv
+    assert err == "error: --label expects POINT=NAME, got '<1>'\n"
 
 
 def test_formula_index_leading_zeros_exit_2(capsys):

@@ -111,9 +111,9 @@ def test_modules_share_no_private_names_and_one_numeral_rule():
                 private = {(path.stem, node.module, name) for name in names}
                 assert private <= SIBLING_PRIVATE_IMPORTS, private
         # the text rule for numerals lives in parsing.py alone, and texts
-        # are scanned with the Cursor: only JSON keys go through are_numerals
+        # are scanned with the Cursor: only JSON keys go through is_numeral
         assert "isdigit(" not in text or path.name == "parsing.py", path.name
-        assert "are_numerals(" not in text or path.name in ("parsing.py", "spectrum.py"), path.name
+        assert "is_numeral(" not in text or path.name in ("parsing.py", "spectrum.py"), path.name
 
 
 def test_unchecked_points_stay_in_their_modules_and_order_keys_are_gone():
@@ -215,7 +215,7 @@ def test_memos_are_bounded():
     for module, name in memos:
         memo = getattr(importlib.import_module(f"wormcalc.{module}"), name)
         assert memo.cache_parameters()["maxsize"] is not None, (module, name)
-    required = {"_views", "_spectrum_of_ranks", "_parsed_worm", "_parsed_ordinal", "_parsed_formula"}
+    required = {"_entry", "_views", "_spectrum_of_ranks", "_parsed_worm", "_parsed_ordinal", "_parsed_formula"}
     assert {name for _, name in memos} >= required
     # the parsers stay plain functions in front of their memos, so the
     # bench tracer, which wraps only functions, still sees each call
@@ -252,3 +252,40 @@ def test_code_line_counter_leaves_out_comments_blanks_and_docstrings():
     spec.loader.exec_module(code_lines)
     # import, class, the four lines of the table, def and the two of return
     assert code_lines.code_lines(COUNTED_SOURCE) == 9
+
+
+COVERED_SOURCE = '''"""A module docstring."""
+
+import os
+
+
+def f(x):
+    """A function docstring."""
+    if x:
+        return (1 +
+                2)
+    # a comment
+    return 0
+
+
+class A:
+    """A class docstring."""
+
+    y = 3
+'''
+
+
+def test_coverage_tool_counts_compiled_line_starts_and_splits_subprocess_hits():
+    # the rule of the coverage figures in ROADMAP.md and CHANGES.md
+    spec = importlib.util.spec_from_file_location("coverage_tool", ROOT / "tools" / "coverage.py")
+    coverage = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(coverage)
+    # a function's docstring does not run; a module's and a class's do, and
+    # a statement over two lines starts on its first
+    executable = coverage.executable_lines(COVERED_SOURCE)
+    assert sorted(executable) == [1, 3, 6, 8, 9, 12, 15, 16, 18]
+    # in-process hits on the module and f's first branch, a subprocess on
+    # the module and f's second: one line is unrun, two only subprocesses run
+    main, sub = {1, 3, 6, 8, 9, 15, 16}, {1, 3, 6, 8, 12}
+    assert coverage.report(executable, main, sub) == ([18], [12])
+    assert coverage.ranges([3, 4, 5, 9, 11, 12]) == "3-5, 9, 11-12"

@@ -1,13 +1,17 @@
 """The parsers' text memos: each distinct text is parsed once per process
 into one value, a text that fails keeps nothing, and a non-string is
-refused before it reaches a memo."""
+refused before it reaches a memo. A presentation's JSON entries, (level,
+worm text) pairs, are read the same way."""
+
+import json
 
 import pytest
 
 import samples
-from wormcalc import formula, ordinal, worm
+from wormcalc import formula, ordinal, spectrum, worm
 from wormcalc.cli import main
 from wormcalc.parsing import ParseError
+from wormcalc.spectrum import TheoryPresentation
 
 # each grammar: its parser, its memo, its printer and malformed texts
 GRAMMARS = {
@@ -82,3 +86,35 @@ def test_deep_inputs_keep_nothing(capsys):
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: input nested too deeply")
         assert memo.cache_info().currsize == size
+
+
+def test_refused_entries_keep_nothing():
+    # a bad key, a bad worm text and each non-string worm: the memo keeps
+    # no entry for any of them
+    memo = spectrum._entry
+    size = memo.cache_info().currsize
+    worms = ('"1..2"', "5", "null", "true", "[1]", '{"a": 1}')
+    texts = ['{"entries": {"01": "1"}}', '{"entries": {"x": "1"}}']
+    for text in texts + [f'{{"entries": {{"0": {w}}}}}' for w in worms]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                TheoryPresentation.from_json(text)
+            assert memo.cache_info().currsize == size, text
+
+
+def test_each_family_entry_is_read_once():
+    # one memo entry per distinct (level, worm text) pair: 1,364 over the
+    # 83,130-member acceptance family, all under the bound
+    family = list(samples.presentation_family())
+    entries = {(str(n), worm.print_worm(w)) for t in family for n, w in t.entries}
+    assert len(entries) == 1364 < spectrum._entry.cache_parameters()["maxsize"]
+    memo = spectrum._entry
+    memo.cache_clear()
+    for t in family[::7]:
+        assert TheoryPresentation.from_json(json.dumps(t.to_json())) == t
+    info = memo.cache_info()
+    assert info.misses == info.currsize <= len(entries)
+    # a second pass only reads the memo
+    for t in family[::7]:
+        TheoryPresentation.from_json(json.dumps(t.to_json()))
+    assert (memo.cache_info().misses, memo.cache_info().currsize) == (info.misses, info.currsize)

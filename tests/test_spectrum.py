@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 
@@ -164,6 +165,72 @@ def test_repeated_key_is_refused_in_linear_time():
     with pytest.raises(ValueError, match="JSON key '7' is repeated"):
         TheoryPresentation.from_json(text)
     assert time.perf_counter() - start < 1
+
+
+def test_repeated_keys_are_refused_in_every_object_that_is_read(capsys):
+    # the presentation, its entries and the spectrum object each refuse a
+    # repeat, which json.loads would read as its last value
+    for read, text, key in (
+        (TheoryPresentation.from_json, '{"entries":{"1":"1","1":"0"}}', "1"),
+        (TheoryPresentation.from_json, '{"name":"a","name":"b","entries":{}}', "name"),
+        (TheoryPresentation.from_json, '{"entries":{},"entries":{"0":"1"}}', "entries"),
+        (Spectrum.from_json, '{"coords":["1"],"coords":["w"]}', "coords"),
+    ):
+        with pytest.raises(ValueError, match=f"^JSON key '{key}' is repeated$"):
+            read(text)
+    # a worm that is an object is refused as no string, repeat or not
+    for text in ('{"entries":{"0":{"a":1,"a":2}}}', '{"entries":{"0":{}}}'):
+        with pytest.raises(ValueError, match="^the worm at level 0 must be a string$"):
+            TheoryPresentation.from_json(text)
+        assert main(["spectrum", text]) == 2
+        assert capsys.readouterr() == ("", "error: the worm at level 0 must be a string\n")
+    # nothing inside a value the reader ignores is read, so no answer can
+    # come from a last value there
+    extra = '"extra": {"a": 1, "a": 2}'
+    assert TheoryPresentation.from_json('{"entries": {}, %s}' % extra) == TheoryPresentation(())
+    assert Spectrum.from_json('{"coords": ["1"], %s}' % extra) == Spectrum(Point.of([from_int(1)]))
+
+
+JSON_SPACE = " \t\r\n"
+
+
+@pytest.mark.parametrize("read", [TheoryPresentation.from_json, Spectrum.from_json])
+def test_texts_decode_as_json_loads_decodes_them(read):
+    texts = (
+        "",
+        "   ",
+        "nul",
+        JSON_SPACE + '{"entries": {"0": "1"}}' + JSON_SPACE,
+        JSON_SPACE + '{"coords": ["w", "1"]}' + JSON_SPACE,
+        '{"entries": {"0": "1"}} x',
+        '{"coords": []}' + JSON_SPACE + "x",
+        # neither is JSON whitespace, though str.strip would take both
+        '{"entries": {}}\x0c',
+        '\xa0{"coords": []}',
+        "{}",
+        '{"entries": []}',
+        '{"name": "x"}',
+    )
+    for text in texts:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as expected:
+            with pytest.raises(json.JSONDecodeError) as caught:
+                read(text)
+            assert (str(caught.value), caught.value.pos) == (str(expected), expected.pos), repr(text)
+            continue
+        # a text that decodes reads as its decoded dict does: the same
+        # value, or the same refusal
+        try:
+            expected = read(data)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                read(text)
+        else:
+            assert read(text) == expected, repr(text)
+    # the position after the whitespace, as json.loads gives it
+    with pytest.raises(json.JSONDecodeError, match=r"^Extra data: line 1 column 25 \(char 24\)$"):
+        read('{"entries": {"0": "1"}} x')
 
 
 def test_presentation_json_builds_sorted_entries():

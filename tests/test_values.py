@@ -48,6 +48,16 @@ def values():
     ]
 
 
+def test_values_print_as_their_texts_and_results_test_as_their_value():
+    for text, parse in (("w^(w+1)*2+w+3", parse_ordinal), ("2.0.1", parse_worm), ("T", parse_worm), ("[1]<0>T -> ~F", parse_formula)):
+        assert str(parse(text)) == text
+    results = [ForcingResult(value, exact) for value in (False, True) for exact in (False, True)]
+    assert [bool(r) for r in results] == [False, False, True, True]
+    assert (from_int(7).as_int(), ZERO.as_int()) == (7, 0)
+    with pytest.raises(ValueError, match="^w is not finite$"):
+        parse_ordinal("w").as_int()
+
+
 def test_value_types_are_slotted_and_refuse_every_write():
     assert {type(v) for v in values()} == VALUE_TYPES
     for v in values():
