@@ -10,13 +10,14 @@ evaluation agrees with the full model, otherwise diamonds are
 underapproximated. Evaluation builds one truth vector over the worlds per
 distinct subformula, so it costs O(|W|*|f|) whatever the nesting depth,
 where |f| counts f's distinct subformulas: one that f shares is taken
-once, however many paths lead to it. A fragment evaluates each distinct
-formula it is asked about once: the first query costs O(|W|*|f|) and
-checks the modal indices in the same walk, the same formula at each
+once, however many paths lead to it. A fragment keeps the vector of each
+distinct subformula it has built for its life, and every query on it
+shares them: the first query of f costs O(|W|*k), where k counts the
+subformulas of f that no earlier query built, and checks the modal indices
+in the same walk; a refused query keeps nothing. The same formula at each
 further world costs O(1): the fragment finds the world by its coordinate
 tuple and the vector by the formula, and both keys hash in C, since
-ordinals and formulas are hash-consed and hash by identity; the vectors
-live as long as the model.
+ordinals and formulas are hash-consed and hash by identity.
 
 `least_world` is the model's join: the coordinatewise least world at or
 above any finite list of ordinals. `spectrum.normalize` places a
@@ -40,6 +41,7 @@ fragments, and any disagreement fails the build.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, zip_longest
 from typing import Iterable, Mapping, Sequence
 
@@ -275,8 +277,9 @@ class FiniteSubmodel:
         self._spans = spans + (((0, 0, 0),) * len(self.worlds),) * (max_index + 1 - len(spans))
         # each world's position, keyed by its coordinates
         self._index = {p.coords: i for i, p in enumerate(self.worlds)}
-        # truth vectors of the formulas queried so far; subformula vectors are
-        # not kept, so a one-shot query on a large fragment holds just one
+        # the truth vector of each distinct formula and subformula queried
+        # so far; a query's walk holds them all while it runs, and the
+        # fragment keeps them for every later query
         self._vectors: dict[fm.Formula, list[bool]] = {}
         # exactness is certified only for initial segments of the naturals:
         # there every coordinate beyond the first is forced to zero, so all
@@ -373,46 +376,54 @@ _RESULTS = tuple(
 def _truth(m: FiniteSubmodel, f: fm.Formula, memo: dict) -> list[bool]:
     """f's truth value at every world position, one pass per distinct
     subformula: memo holds the vector of each subformula already taken, so
-    one that f shares is taken once. A box or diamond counts its body over
-    each span (a, _, c) by prefix sums. An index above m's max index raises
-    a bare error for `_vector` to word."""
-    if f in memo:
-        return memo[f]
-    match f:
-        case fm.Top():
-            vector = [True] * len(m.worlds)
-        case fm.Bottom():
-            vector = [False] * len(m.worlds)
-        case fm.Implies(left=left, right=right):
-            vector = [not x or y for x, y in zip(_truth(m, left, memo), _truth(m, right, memo))]
-        case fm.Box(index=n, body=body) | fm.Diamond(index=n, body=body):
-            if n > m.max_index:
-                raise ModalityOutOfRangeError
-            pre = list(accumulate(_truth(m, body, memo), initial=0))
-            if isinstance(f, fm.Box):
-                vector = [pre[c] - pre[a] == c - a for a, _, c in m._spans[n]]
-            else:
-                vector = [pre[c] > pre[a] for a, _, c in m._spans[n]]
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+    one that f shares is taken once. The node kind is told by its class,
+    compared by identity. A box or diamond counts its body over each span
+    (a, _, c) by prefix sums. An index above m's max index raises a bare
+    error for `_vector` to word."""
+    vector = memo.get(f)
+    if vector is not None:
+        return vector
+    kind = f.__class__
+    if kind is fm.Implies:
+        vector = [not x or y for x, y in zip(_truth(m, f.left, memo), _truth(m, f.right, memo))]
+    elif kind is fm.Box or kind is fm.Diamond:
+        n = f.index
+        if n > m.max_index:
+            raise ModalityOutOfRangeError
+        pre = list(accumulate(_truth(m, f.body, memo), initial=0))
+        if kind is fm.Box:
+            vector = [pre[c] - pre[a] == c - a for a, _, c in m._spans[n]]
+        else:
+            vector = [pre[c] > pre[a] for a, _, c in m._spans[n]]
+    elif kind is fm.Top:
+        vector = [True] * len(m.worlds)
+    elif kind is fm.Bottom:
+        vector = [False] * len(m.worlds)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
     memo[f] = vector
     return vector
 
 
 def _vector(m: FiniteSubmodel, f: fm.Formula) -> list[bool]:
-    """f's truth vector on m, built and kept on the first query. That query
-    holds one vector per distinct subformula of f while it runs, and keeps
-    only f's; its one walk refuses an index above m's max index, naming f's
-    highest one, and keeps nothing."""
-    vector = m._vectors.get(f)
+    """f's truth vector on m, built on the first query. The walk keeps the
+    vector of each distinct subformula in m for the fragment's life, so a
+    later query builds only the subformulas no earlier one did. It refuses
+    an index above m's max index, naming f's highest one, and then a
+    refused query keeps nothing: the walk only inserts, so popping back to
+    the length before it drops exactly what it stored."""
+    vectors = m._vectors
+    vector = vectors.get(f)
     if vector is None:
+        size = len(vectors)
         try:
-            vector = _truth(m, f, {})
+            vector = _truth(m, f, vectors)
         except ModalityOutOfRangeError:
+            while len(vectors) > size:
+                vectors.popitem()
             raise ModalityOutOfRangeError(
                 f"formula mentions [{fm.max_modality(f)}] but the submodel stops at [{m.max_index}]"
             ) from None
-        m._vectors[f] = vector
     return vector
 
 
@@ -422,9 +433,10 @@ def forces(m: FiniteSubmodel, p: Point, f: fm.Formula) -> ForcingResult:
     Boxes quantify over the fragment's edges, diamonds existentially; on a
     witness-complete fragment the answer is exact for the full model,
     otherwise diamonds are underapproximated and the result says so. The
-    first query of f on m costs O(|W|*|f|) for |W| worlds, whatever the
-    nesting depth; m keeps f's truth vector, so f at each further world
-    costs a lookup of p and one of f.
+    first query of f on m costs O(|W|*k) for |W| worlds, whatever the
+    nesting depth, where k counts the subformulas of f that no earlier
+    query on m built; m keeps their truth vectors, so f at each further
+    world costs a lookup of p and one of f.
     """
     # the lookups inline; the helpers run only on a miss, to raise or to
     # build the vector
@@ -441,15 +453,25 @@ def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
     """True iff the formula holds at every world of the fragment.
 
     A False answer on a witness-complete fragment refutes theoremhood in
-    the closed fragment; a True answer is only a necessary condition. The
-    cost is O(|W|*|f|) for |W| worlds, whatever the nesting depth, and
-    shares f's truth vector with `forces` on the same model, so once the
-    vector is kept a query costs O(|W|).
+    the closed fragment; a True answer is only a necessary condition. It
+    shares the truth vectors of f and its subformulas with every other
+    query on the same model, as `forces` does, so it costs what `forces`
+    costs to build them, and O(|W|) once f's vector is kept.
     """
     return m._results[all(_vector(m, f))]
 
 
 # --- DOT rendering ------------------------------------------------------
+
+
+# the kripke benchmark's fragments hold 37 distinct universe elements, so
+# the memo never evicts there; the bound only keeps a long-running process
+# from growing it without limit
+@lru_cache(maxsize=1 << 12)
+def _coordinate_text(u: Ordinal) -> str:
+    """print_ordinal(u), taken once per distinct universe element; ordinals
+    are interned, so the key is the one object."""
+    return print_ordinal(u)
 
 
 def _dot_escaped(text: str) -> str:
@@ -482,17 +504,23 @@ def render_dot(
             raise PointNotInModelError(f"label {label!r}: {p} is not a world of {m!r}")
         named[m._index[p.coords]] = _dot_escaped(label)
     lines = ["digraph ignatiev {", "  node [shape=box];"]
-    # print_point of each world, with each universe element printed once
-    printed = {u: print_ordinal(u) for u in m.universe}
+    # each world's name is formatted once, and print_point of each world
+    # comes from each universe element's text
+    names = [f"n{i}" for i in range(len(m.worlds))]
     for i, p in enumerate(m.worlds):
-        text = "<" + ", ".join([printed[c] for c in p.coords]) + ">"
+        text = "<" + ", ".join(map(_coordinate_text, p.coords)) + ">"
         if i in named:
             text = f"{named[i]}\\n{text}"
-        lines.append(f'  n{i} [label="{text}"];')
+        lines.append(f'  {names[i]} [label="{text}"];')
+    # a span's arrows share their source and style, so they are one join
+    # over the target names; the join's separator ends one arrow's line and
+    # starts the next
+    heads = [f"  {name} -> " for name in names]
     for n, spans in enumerate(m._spans[: m._depth]):
-        style = _edge_style(n)
-        for i, (a, b, c) in enumerate(spans):
-            for j in range(b if reduce_transitive else a, c):
-                lines.append(f"  n{i} -> n{j}{style};")
+        end = _edge_style(n) + ";"
+        for head, (a, b, c) in zip(heads, spans):
+            start = b if reduce_transitive else a
+            if start < c:
+                lines.append(head + (end + "\n" + head).join(names[start:c]) + end)
     lines.append("}")
     return "\n".join(lines) + "\n"

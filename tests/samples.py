@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from wormcalc.formula import (
     Bottom, Box, Diamond, Formula, Implies, Top, conj, disj, formula_of_worm, neg
 )
-from wormcalc.ignatiev import Point, least_world
+from wormcalc.ignatiev import Point, least_world, print_point
 from wormcalc.ordinal import (
     ONE, ZERO, Ordinal, add, compare, from_int, hyperexp, last_exponent, omega_power, print_ordinal
 )
@@ -422,6 +422,27 @@ def relation_holds(n: int, p: Point, q: Point) -> bool:
         if p.coord(i) != q.coord(i):
             return False
     return compare(p.coord(n), q.coord(n)) > 0
+
+
+def render_dot_oracle(m, labels: dict | None = None, reduce_transitive: bool = True) -> str:
+    """render_dot's text written one arrow at a time: each world's
+    print_point, and one f-string per arrow over the fragment's spans. An
+    oracle for `render_dot`, which formats each world's name once and joins
+    the arrows of a span. Every labelled point must be a world."""
+    lines = ["digraph ignatiev {", "  node [shape=box];"]
+    for i, p in enumerate(m.worlds):
+        text = print_point(p)
+        if labels and p in labels:
+            escaped = labels[p].replace("\\", "\\\\").replace('"', '\\"')
+            text = f"{escaped}\\n{text}"
+        lines.append(f'  n{i} [label="{text}"];')
+    for n, spans in enumerate(m._spans[: m._depth]):
+        style = ' [color="black' + ":invis:black" * n + '"]' if n else ""
+        for i, (a, b, c) in enumerate(spans):
+            for j in range(b if reduce_transitive else a, c):
+                lines.append(f"  n{i} -> n{j}{style};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def rank_criterion(p: Point, a: Worm) -> bool:

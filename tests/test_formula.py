@@ -103,6 +103,8 @@ def test_formula_constructors_refuse_parts_that_are_not_formulas():
                 build(part)
     with pytest.raises(TypeError):
         Implies(1, 2)
+    with pytest.raises(TypeError, match="not a formula"):
+        print_formula(object())
 
 
 def test_parser_and_sugar_build_past_the_constructors_checks(monkeypatch):

@@ -215,7 +215,9 @@ def test_memos_are_bounded():
     for module, name in memos:
         memo = getattr(importlib.import_module(f"wormcalc.{module}"), name)
         assert memo.cache_parameters()["maxsize"] is not None, (module, name)
-    required = {"_entry", "_views", "_spectrum_of_ranks", "_parsed_worm", "_parsed_ordinal", "_parsed_formula"}
+    required = {
+        "_entry", "_views", "_spectrum_of_ranks", "_parsed_worm", "_parsed_ordinal", "_parsed_formula", "_coordinate_text"
+    }
     assert {name for _, name in memos} >= required
     # the parsers stay plain functions in front of their memos, so the
     # bench tracer, which wraps only functions, still sees each call
@@ -289,3 +291,48 @@ def test_coverage_tool_counts_compiled_line_starts_and_splits_subprocess_hits():
     main, sub = {1, 3, 6, 8, 9, 15, 16}, {1, 3, 6, 8, 12}
     assert coverage.report(executable, main, sub) == ([18], [12])
     assert coverage.ranges([3, 4, 5, 9, 11, 12]) == "3-5, 9, 11-12"
+
+
+MUTATED_SOURCE = '''"""A docstring: x < 1 and 0 are no sites in it."""
+
+
+def f(x, ys):
+    if not x and x < 1:  # nor is == in a comment
+        return [y for y in ys if y in (0, 2)]
+    if not (x or ys):
+        return None
+    return -x + (x is not None) - 3
+'''
+
+
+def test_mutation_tool_splices_one_operator_per_mutant(monkeypatch):
+    # the rule of the mutation samples in ROADMAP.md and CHANGES.md
+    spec = importlib.util.spec_from_file_location("mutants_tool", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    found = mutants.mutants(MUTATED_SOURCE)
+    # the `in` of a comprehension, a unary minus, a docstring, a comment and
+    # the constant 3 are no sites; a dropped `not` leaves its operand's
+    # brackets
+    assert [(line, change) for line, change, _ in found] == [
+        (5, "not -> (dropped)"),
+        (5, "and -> or"),
+        (5, "< -> <="),
+        (5, "1 -> 2"),
+        (6, "in -> not in"),
+        (6, "0 -> 1"),
+        (6, "2 -> 3"),
+        (7, "not -> (dropped)"),
+        (7, "or -> and"),
+        (9, "+ -> -"),
+        (9, "is not -> is"),
+        (9, "- -> +"),
+    ]
+    # each mutant changes its own line and no other
+    lines = MUTATED_SOURCE.splitlines()
+    for line, _, text in found:
+        changed = [i for i, (a, b) in enumerate(zip(lines, text.splitlines()), 1) if a != b]
+        assert changed == [line] and len(text.splitlines()) == len(lines), text
+    # a splice that does not compile makes no mutant, so it is never a kill
+    monkeypatch.setattr(mutants, "splices", lambda source: [(1, 0, 4, "("), (1, 0, 4, "1")])
+    assert [change for _, change, _ in mutants.mutants("pass\n")] == ["pass -> 1"]

@@ -352,6 +352,11 @@ def test_forces_errors():
         forces(m, Point.of([ZERO]), parse_formula("[2]T"))
     with pytest.raises(ModalityOutOfRangeError):
         validity_check(parse_formula("<5>T"), m)
+    # the formula's text is no formula, and a refused query keeps nothing
+    for query in (lambda: forces(m, Point.of([ZERO]), "T"), lambda: validity_check("T", m)):
+        with pytest.raises(TypeError, match="not a formula: 'T'"):
+            query()
+    assert not m._vectors
 
 
 def test_successors_reject_relations_outside_the_fragment():
@@ -405,24 +410,31 @@ def test_kept_vectors_keep_the_errors():
     kept = parse_formula("<0>T")
     assert not forces(m, Point.of([ZERO]), kept).value
     assert not validity_check(kept, m).value
-    # an out-of-range formula is refused every time, so its failed query
-    # kept nothing
-    message = re.escape("formula mentions [2] but the submodel stops at [1]")
+    # a kept formula keeps its subformulas too
+    assert list(m._vectors) == [Top(), kept]
+
+    def refuses(query, message):
+        # an out-of-range formula is refused every time, and its failed
+        # query keeps nothing, not even the in-range subformulas its walk
+        # took before it met the index
+        before = dict(m._vectors)
+        with pytest.raises(ModalityOutOfRangeError, match=re.escape(message)):
+            query()
+        assert m._vectors == before and list(m._vectors) == list(before)
+
     out_of_range = parse_formula("[2]T")
+    message = "formula mentions [2] but the submodel stops at [1]"
     for _ in range(2):
-        with pytest.raises(ModalityOutOfRangeError, match=message):
-            forces(m, Point.of([ZERO]), out_of_range)
-    with pytest.raises(ModalityOutOfRangeError, match=message):
-        validity_check(out_of_range, m)
+        refuses(lambda: forces(m, Point.of([ZERO]), out_of_range), message)
+    refuses(lambda: validity_check(out_of_range, m), message)
     # the message names the formula's highest index, not the first index the
     # walk meets out of range
-    for text, top in (("[2]T -> <5>F", 5), ("<0>[3]T", 3)):
+    for text, top in (("[2]T -> <5>F", 5), ("<0>[3]T", 3), ("<1>F -> ([0]<1>T -> [2]T)", 2)):
         refused = parse_formula(text)
-        message = re.escape(f"formula mentions [{top}] but the submodel stops at [1]")
+        message = f"formula mentions [{top}] but the submodel stops at [1]"
         for query in (lambda: forces(m, Point.of([ZERO]), refused), lambda: validity_check(refused, m)):
-            with pytest.raises(ModalityOutOfRangeError, match=message):
-                query()
-    assert list(m._vectors) == [kept]
+            refuses(query, message)
+    assert list(m._vectors) == [Top(), kept]
     # a kept formula still needs a world
     with pytest.raises(PointNotInModelError, match="is not a world"):
         forces(m, Point.of([from_int(9)]), kept)
@@ -455,36 +467,45 @@ def test_interleaved_queries_agree_with_fresh_models():
         assert validity_check(f, forces_first) == valid
 
 
-def node_count(f):
+def subformulas(f):
     match f:
         case Implies(left=left, right=right):
-            return 1 + node_count(left) + node_count(right)
+            return {f} | subformulas(left) | subformulas(right)
         case Box(body=body) | Diamond(body=body):
-            return 1 + node_count(body)
-    return 1
+            return {f} | subformulas(body)
+    return {f}
 
 
 def test_each_formula_is_evaluated_once_per_fragment(monkeypatch):
     # _truth recurses through the module global, so the wrapper sees every
-    # call; these formulas share no subformula but T, so a query makes one
-    # call per node of f's tree, and builds one vector per distinct node
+    # call, and a call for a formula not yet in the memo builds its vector.
+    # These formulas share <1>T, <0>T and T, and each validity query asks
+    # about a formula that forces already built: across all the queries on
+    # one fragment, each distinct subformula is built exactly once
     built = []
     truth = ignatiev._truth
 
     def counting(m, f, memo):
-        built.append(f)
+        if f not in memo:
+            built.append(f)
         return truth(m, f, memo)
 
     monkeypatch.setattr(ignatiev, "_truth", counting)
-    m = enumerate_submodel([ZERO, from_int(1), from_int(2), W, W_TO_W], 2)
+    universe = [ZERO, from_int(1), from_int(2), W, W_TO_W]
     texts = ("<0>[1]<0>T -> [2]<1>T", "<0><1>T", "[0](<1>T -> <0>T)")
     formulas = [parse_formula(t) for t in texts]
-    for f in formulas:
-        for p in m.worlds:
-            forces(m, p, f)
-    validity_check(formulas[0], m)
-    assert len(m.worlds) > 1
-    assert len(built) == sum(node_count(f) for f in formulas)
+    distinct = set().union(*map(subformulas, formulas))
+    assert len(distinct) < sum(map(len, map(subformulas, formulas)))
+    for m in (enumerate_submodel(universe, 2), enumerate_submodel(universe, 2)):
+        # a second fragment builds its own vectors
+        built.clear()
+        for f in formulas:
+            truth_set = definitional_truth(m, f)
+            for p in m.worlds:
+                assert forces(m, p, f).value == (p in truth_set), (p, f)
+            assert validity_check(f, m).value == (len(truth_set) == len(m.worlds)), f
+        assert len(m.worlds) > 1
+        assert len(built) == len(set(built)) and set(built) == distinct
 
 
 def test_shared_subformulas_are_walked_once():
@@ -677,6 +698,31 @@ def test_render_dot_escapes_labels():
     for label, escaped in cases.items():
         nodes = re.findall(r'^  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', render_dot(m, labels={one: label}), re.M)
         assert nodes == [("0", "<0>"), ("1", f"{escaped}\\n<1>")], label
+
+
+# the kripke workload's catalog of small ordinals, whose closures under
+# last exponents make branching universes
+CATALOG = (
+    "1", "2", "3", "w", "w+1", "w+2", "w*2", "w*2+1", "w^2", "w^2+1", "w^2+w",
+    "w^2*2", "w^3", "w^w", "w^w+1", "w^w+w", "w^(w+1)", "w^(w*2)", "w^w^w",
+)
+
+
+def test_render_dot_matches_the_per_arrow_oracle():
+    # each span's arrows are one join over names formatted once; the bytes
+    # are those of one f-string per arrow
+    rng = random.Random(32)
+    catalog = [parse_ordinal(text) for text in CATALOG]
+    fragments = [enumerate_submodel(rng.sample(catalog, rng.randint(1, 5)), rng.randint(0, 3)) for _ in range(40)]
+    # a mid-size fragment, the shape of the large model inputs
+    fragments.append(enumerate_submodel([parse_ordinal(f"w^(w^{i})") for i in range(2, 13)], 3))
+    assert {m.max_index for m in fragments} == {0, 1, 2, 3} and len(fragments[-1].worlds) > 500
+    for k, m in enumerate(fragments):
+        labels = {p: f'w{i} "q" \\ b\\"' for i, p in enumerate(m.worlds) if (i + k) % 3 == 0}
+        for reduce_transitive in (True, False):
+            for named in (None, labels):
+                expected = samples.render_dot_oracle(m, named, reduce_transitive)
+                assert render_dot(m, named, reduce_transitive) == expected, (m, reduce_transitive)
 
 
 def test_render_dot_labels_must_be_worlds():

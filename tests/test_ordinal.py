@@ -86,6 +86,9 @@ def test_compare_examples():
     # oracle: (1,1) < (2,0) as degree-1 coefficient vectors
     assert poly_compare(W_PLUS_1, W_TIMES_2) == -1
     assert compare(W_PLUS_1, W_TIMES_2) == -1
+    # an ordinal orders only against ordinals, not against the int it names
+    with pytest.raises(TypeError):
+        ONE < 1
 
 
 def test_add_examples():

@@ -79,6 +79,13 @@ def test_copies_and_pickles_are_equal_values():
             assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
 
 
+def test_values_equal_no_other_type():
+    # the fields alone do not make a value equal to a tuple of them
+    assert Point.of([ONE]).coords == (ONE,)
+    assert Point.of([ONE]) != (ONE,) and not Point.of([ONE]) == (ONE,)
+    assert ForcingResult(True, True) != (True, True)
+
+
 def test_parse_errors_copy_and_pickle():
     # a parse error raised in a worker process reaches its caller pickled
     error = ParseError("bad", 3)
