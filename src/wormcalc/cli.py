@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Machine output goes to stdout, diagnostics to stderr. Exit codes: 0 for
-success (or a positive answer), 1 for a well-posed query with a negative
-answer (invalid point, refuted formula, spectra already apart at the first
-coordinate), 2 for usage or parse errors.
+Each handler computes its answer and returns it as (exit code, text, JSON
+payload); `main` alone writes stdout and picks the exit code. Diagnostics go
+to stderr. Exit codes: 0 for success (or a positive answer), 1 for a
+well-posed query with a negative answer (invalid point, refuted formula,
+spectra already apart at the first coordinate), 2 for usage or parse errors
+and for running out of memory.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ from .parsing import Cursor, ParseError, parse_comma_list
 from .worm import compare_worms, head, ordinal_of, parse_worm, print_worm, remainder, worm_of_ordinal
 
 _COMPARISON_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
-
-
-def _point_text(p, args) -> str:
-    return ig.print_point(p, unicode=not args.ascii)
-
-
-def _emit(args, text: str, payload: dict) -> None:
-    print(json.dumps(payload) if args.json else text)
 
 
 def natural(text: str) -> int:
@@ -65,21 +59,26 @@ def _resolve_spectrum(argument: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, text, payload = args.handler(args)
+        # the one writer of stdout: a text that already ends a line (DOT) gets no second newline
+        if args.json:
+            print(json.dumps(payload))
+        elif text is not None:
+            print(text, end="" if text.endswith("\n") else "\n")
+        return code
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
     except RecursionError:
         # the C JSON decoder, the parsers and the printers recurse once per
         # nesting level; ranks do not
         print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
-        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,10 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.set_defaults(handler=_cmd_compare)
 
-    for name, title in (("head", "leading block at a level"), ("rem", "what the head leaves")):
+    for name, part, title in (
+        ("head", head, "leading block at a level"),
+        ("rem", remainder, "what the head leaves"),
+    ):
         p = sub.add_parser(name, parents=[leveled], help=title)
         p.add_argument("worm")
-        p.set_defaults(handler=_cmd_head if name == "head" else _cmd_rem)
+        p.set_defaults(handler=_cmd_part, part=part)
 
     p = sub.add_parser("worm-of", parents=[common], help="canonical worm for an ordinal")
     p.add_argument("level", type=natural)
@@ -134,11 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("worm")
     p.set_defaults(handler=_cmd_min_point)
 
-    p = sub.add_parser("spectrum", parents=[common], help="spectrum of a presentation")
-    p.add_argument("presentation", help="JSON text or a path to a JSON file")
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("normalize", parents=[common], help="normalize a presentation")
+    p = sub.add_parser("spectrum", aliases=["normalize"], parents=[common], help="normalize a presentation")
     p.add_argument("presentation", help="JSON text or a path to a JSON file")
     p.set_defaults(handler=_cmd_spectrum)
 
@@ -173,78 +171,59 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_ordinal(args) -> int:
+def _cmd_ordinal(args):
     value = ordinal_of(parse_worm(args.worm), args.level)
-    _emit(args, print_ordinal(value, unicode=not args.ascii), {"ordinal": print_ordinal(value)})
-    return 0
+    return 0, print_ordinal(value, unicode=not args.ascii), {"ordinal": print_ordinal(value)}
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     left = parse_worm(args.left)
     right = parse_worm(args.right)
     word = _COMPARISON_WORDS[compare_worms(left, right, args.level)]
-    _emit(args, word, {"result": word})
-    return 0
+    return 0, word, {"result": word}
 
 
-def _emit_worm(args, result) -> int:
-    _emit(args, print_worm(result), {"worm": print_worm(result)})
-    return 0
+def _worm_answer(worm):
+    text = print_worm(worm)
+    return 0, text, {"worm": text}
 
 
-def _cmd_head(args) -> int:
-    return _emit_worm(args, head(parse_worm(args.worm), args.level))
+def _cmd_part(args):
+    return _worm_answer(args.part(parse_worm(args.worm), args.level))
 
 
-def _cmd_rem(args) -> int:
-    return _emit_worm(args, remainder(parse_worm(args.worm), args.level))
+def _cmd_worm_of(args):
+    return _worm_answer(worm_of_ordinal(parse_ordinal(args.ordinal), args.level))
 
 
-def _cmd_worm_of(args) -> int:
-    return _emit_worm(args, worm_of_ordinal(parse_ordinal(args.ordinal), args.level))
-
-
-def _cmd_point_check(args) -> int:
+def _cmd_point_check(args):
     coords = ig.parse_coords(args.point)
     violation = ig.first_violation(coords)
     if violation is None:
-        point = ig.Point.of(coords)
-        _emit(
-            args,
-            "valid",
-            {"valid": True, "coords": [print_ordinal(c) for c in point.coords]},
-        )
-        return 0
-    _emit(args, f"invalid at index {violation}", {"valid": False, "index": violation})
-    return 1
+        return 0, "valid", {"valid": True, "coords": [print_ordinal(c) for c in ig.Point.of(coords).coords]}
+    return 1, f"invalid at index {violation}", {"valid": False, "index": violation}
 
 
-def _cmd_min_point(args) -> int:
+def _cmd_min_point(args):
     point = ig.min_point_for_worm(parse_worm(args.worm))
-    _emit(
-        args,
-        _point_text(point, args),
-        {"coords": [print_ordinal(c) for c in point.coords]},
-    )
-    return 0
+    return 0, ig.print_point(point, unicode=not args.ascii), {"coords": [print_ordinal(c) for c in point.coords]}
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     result = sp.normalize(_read_presentation(args.presentation))
     payload = result.to_json()
-    _emit(args, f"{_point_text(result.point, args)} worms: {' '.join(payload['worms'])}", payload)
-    return 0
+    point = ig.print_point(result.point, unicode=not args.ascii)
+    return 0, f"{point} worms: {' '.join(payload['worms'])}", payload
 
 
-def _cmd_conserve(args) -> int:
+def _cmd_conserve(args):
     left = _resolve_spectrum(args.left)
     right = _resolve_spectrum(args.right)
     for side in (left, right):
         if isinstance(side, sp.LimitTheory):
             raise ValueError(f"{side.name} has no point in the model ({side.note})")
     level = sp.conservation_level(left, right)
-    _emit(args, sp.describe_conservation(level), {"level": level})
-    return 1 if level == "none" else 0
+    return 1 if level == "none" else 0, sp.describe_conservation(level), {"level": level}
 
 
 def _parse_labels(raw_labels: list[str]) -> dict:
@@ -257,7 +236,7 @@ def _parse_labels(raw_labels: list[str]) -> dict:
     return labels
 
 
-def _cmd_model(args) -> int:
+def _cmd_model(args):
     model = ig.enumerate_submodel(_parse_universe(args.universe), args.max_index)
     dot = ig.render_dot(
         model,
@@ -267,22 +246,21 @@ def _cmd_model(args) -> int:
     if args.dot and args.dot != "-":
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dot)
-    elif not args.json:
-        print(dot, end="")
+        dot = None
     edge_counts = {str(n): model.edge_count(n) for n in range(model.max_index + 1)}
+    payload = None
     if args.json:
         payload = {
             "worlds": [[print_ordinal(c) for c in p.coords] for p in model.worlds],
             "edges": edge_counts,
             "witness_complete": model.witness_complete,
         }
-        print(json.dumps(payload))
     print(
         f"worlds={len(model.worlds)} "
         + " ".join(f"edges[{n}]={k}" for n, k in edge_counts.items()),
         file=sys.stderr,
     )
-    return 0
+    return 0, dot, payload
 
 
 def _evaluation_model(args, needed_index: int) -> ig.FiniteSubmodel:
@@ -293,21 +271,21 @@ def _evaluation_model(args, needed_index: int) -> ig.FiniteSubmodel:
 _FRAGMENT_RELATIVE = "note: fragment-relative answer (universe is not witness-complete)"
 
 
-def _report(args, result: ig.ForcingResult, note: str = _FRAGMENT_RELATIVE) -> int:
-    if not result.exact:
+def _report(value: bool, exact: bool, note: str = _FRAGMENT_RELATIVE):
+    if not exact:
         print(note, file=sys.stderr)
-    _emit(args, "true" if result.value else "false", {"value": result.value, "exact": result.exact})
-    return 0 if result.value else 1
+    return 0 if value else 1, "true" if value else "false", {"value": value, "exact": exact}
 
 
-def _cmd_forces(args) -> int:
+def _cmd_forces(args):
     point = ig.parse_point(args.point)
     f = fm.parse_formula(args.formula)
     model = _evaluation_model(args, max(fm.max_modality(f), len(point.coords) - 1))
-    return _report(args, ig.forces(model, point, f))
+    result = ig.forces(model, point, f)
+    return _report(result.value, result.exact)
 
 
-def _cmd_valid(args) -> int:
+def _cmd_valid(args):
     f = fm.parse_formula(args.formula)
     model = _evaluation_model(args, fm.max_modality(f))
     result = ig.validity_check(f, model)
@@ -315,9 +293,5 @@ def _cmd_valid(args) -> int:
         # the fragment holds only some worlds of the full model, so truth at
         # all of them is necessary for validity but not sufficient
         note = "note: true at every world of the fragment, a necessary condition for validity only"
-        return _report(args, ig.ForcingResult(True, False), note)
-    return _report(args, result)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        return _report(True, False, note)
+    return _report(result.value, result.exact)

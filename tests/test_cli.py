@@ -332,3 +332,83 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "w*2"
+
+
+PRESENTATION = '{"entries":{"0":"0.1","1":"1"}}'
+
+# each subcommand name: its argv, its exact text-mode stdout and exit code,
+# and one input it refuses
+CONTRACT = [
+    (["o", "1.0.1", "--ascii"], "w*2\n", 0, ["o", "1..2"]),
+    (["compare", "0.1", "1.0.1"], "Less\n", 0, ["compare", "0.1", "1.x"]),
+    (["head", "-n", "1", "2.1.0.3"], "2.1\n", 0, ["head", "2.a"]),
+    (["rem", "-n", "1", "2.1.0.3"], "0.3\n", 0, ["rem", "01"]),
+    (["worm-of", "0", "w*2"], "1.0.1\n", 0, ["worm-of", "0", "w^2+w^5"]),
+    (["point-check", "<2, 1>"], "invalid at index 0\n", 1, ["point-check", "w, 1"]),
+    (["min-point", "0.1", "--ascii"], "<w+1>\n", 0, ["min-point", "0.x"]),
+    (["spectrum", PRESENTATION, "--ascii"], "<w*2, 1> worms: 1.0.1 1\n", 0, ["spectrum", '{"entries":']),
+    (["normalize", PRESENTATION, "--ascii"], "<w*2, 1> worms: 1.0.1 1\n", 0, ["normalize", '{"entries":null}']),
+    (
+        ["conserve", "<w*2, 1>", "<w+1>"],
+        "level=none (already Pi^0_1 ordinals differ)\n",
+        1,
+        ["conserve", "PA", "PRA"],
+    ),
+    (
+        ["model", "--universe", "finite:3", "--max-index", "2"],
+        (GOLDEN / "chain_finite3_idx2.dot").read_text(encoding="utf-8"),
+        0,
+        ["model", "--universe", "banana"],
+    ),
+    (
+        ["forces", "--universe", "finite:3", "<2>", "<0><0><0>T"],
+        "false\n",
+        1,
+        ["forces", "--universe", "w^", "<0>", "T"],
+    ),
+    (["valid", "--universe", "finite:3", "[0]([0]T->T)->[0]T"], "true\n", 0, ["valid", "--universe", "w", "~"]),
+]
+
+
+def test_every_subcommand_writes_one_answer(tmp_path, capsys):
+    # main alone writes stdout, so every name answers in one shape; bytes are
+    # compared exactly, with no newline stripped
+    with pytest.raises(SystemExit) as info:
+        main(["-h"])
+    listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+    assert info.value.code == 0 and sorted(listed) == sorted(argv[0] for argv, *_ in CONTRACT)
+    assert len(listed) == 13 and {"spectrum", "normalize"} <= set(listed)
+    for argv, text, code, refused in CONTRACT:
+        assert main(argv) == code, argv
+        out = capsys.readouterr().out
+        assert out == text and out.endswith("\n") and not out.endswith("\n\n"), argv
+        assert main([*argv, "--json"]) == code, argv
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n") and isinstance(json.loads(out), dict), argv
+        assert main(refused) == 2, refused
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.count("\n")) == ("", 1) and captured.err.endswith("\n"), refused
+    # the DOT ends in "}\n" once, on stdout with --dot - too, and --dot FILE leaves stdout empty
+    model, dot = CONTRACT[10][:2]
+    assert dot.endswith("}\n") and dot.count("}") == 1
+    assert main([*model, "--dot", "-"]) == 0 and capsys.readouterr().out == dot
+    assert main([*model, "--dot", str(tmp_path / "m.dot")]) == 0 and capsys.readouterr().out == ""
+
+
+def test_out_of_memory_exits_2():
+    # 41,181 worlds whose DOT outgrows an address space of 400 MB, a limit set
+    # on the child alone: one stderr line and exit 2, never a traceback and exit 1
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    universe = ",".join(f"w^(w^{i})" for i in range(2, 60))
+    for extra in ([], ["--json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wormcalc", "model", "--universe", universe, "--max-index", "3", *extra],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n"), extra

@@ -2,8 +2,8 @@
 that imports nothing outside the standard library and no dataclasses,
 exports that name what the modules define, modules that share no private
 names, formats that one module alone decodes, hash-consing and value builds
-that one module alone writes, memos that are bounded, and the rule of the
-code-line counter."""
+that one module alone writes, memos that are bounded, a command line whose
+`main` alone writes stdout, and the rules of the tools."""
 
 import ast
 import importlib
@@ -188,6 +188,21 @@ def test_no_instance_dict_writes():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
         assert lines == [], (path.name, lines)
 
+
+def test_cli_main_alone_writes_stdout():
+    # each handler returns (exit code, text, payload) and main writes it:
+    # every other print goes to a file, and the package has one entry point
+    path = ROOT / "src" / "wormcalc" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    inside = {id(node) for node in ast.walk(main)}
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            assert "file" in [keyword.arg for keyword in node.keywords], node.lineno
+        assert getattr(node, "attr", None) != "stdout", node.lineno
+    assert "__main__" not in path.read_text(encoding="utf-8")
 
 
 def test_memos_are_bounded():
