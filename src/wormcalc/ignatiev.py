@@ -27,8 +27,17 @@ model decides satisfiability with it.
 A fragment is enumerated on universe positions: one table, built once,
 gives the position of each element's last exponent, so the walk makes no
 ordinal comparison, and worlds canonical by construction skip the
-constructor's check. Each relation keeps its own span per world, which
-evaluation, successors and rendering index directly.
+constructor's check. Each world comes from one bounded memo keyed by its
+coordinate tuple, so the fragments of a process that hold a world share
+one `Point` for it, built once. Each relation keeps its own span per world,
+which evaluation, successors and rendering index directly.
+
+`render_dot` labels each world with its text, which it joins from the
+coordinates' texts on the world's first drawing and keeps on the world; a
+world drawn again, in this fragment's DOT or in another's, reads it back.
+Sharing worlds and their texts is an optimisation only: a `Point` built
+any other way, by `parse_point` say, is the same world to every query and
+to `render_dot`'s labels.
 
 `forces_worm` decides worm statements through the coordinatewise criterion
 rank_n(worm) <= coordinate_n. The ranks are taken once per distinct worm
@@ -96,7 +105,13 @@ class Point(Value):
     ordinals hash by identity, is a key for the point that hashes in C.
     """
 
-    __slots__ = __match_args__ = ("coords",)
+    __slots__ = {
+        "coords": None,
+        "_text": """The world's ASCII text, print_point(self), kept here by
+        `render_dot` on its first use. It is not a field, so equality,
+        hashing, repr, copies and pickles see only the coordinates.""",
+    }
+    __match_args__ = ("coords",)
 
     def __new__(cls, coords: tuple[Ordinal, ...]):
         if not isinstance(coords, tuple) or not all(isinstance(c, Ordinal) for c in coords):
@@ -125,6 +140,9 @@ class Point(Value):
 
     def __repr__(self) -> str:
         return f"Point({print_point(self)!r})"
+
+
+_set_text = Point._text.__set__
 
 
 def parse_coords(text: str) -> tuple[Ordinal, ...]:
@@ -212,7 +230,12 @@ def forces_worm(p: Point, a: Worm) -> bool:
     is one identity test per level up to the point's support, and a
     `compare` where the rank is not the coordinate itself.
     """
-    coords, ranks = p.coords, a.ranks
+    # the slot itself; the property fills it on a worm's first read
+    try:
+        ranks = a._rank_table
+    except AttributeError:
+        ranks = a.ranks
+    coords = p.coords
     # the ranks form a world, so once one is 0 all later ones are: a rank
     # past the support is nonzero iff the first one there is
     if len(ranks) > len(coords) and ranks[len(coords)].terms:
@@ -293,7 +316,7 @@ class FiniteSubmodel:
     def _generate(self, below: list[int]) -> tuple[tuple[Point, ...], tuple[tuple, ...]]:
         """The worlds in walk order, and the spans by world of each relation
         below the deepest support."""
-        universe, top, make = self.universe, self.max_index, Point._from_checked
+        universe, top, make = self.universe, self.max_index, _world
         worlds = [make((ZERO,))]
         rows = [()]  # world i's spans, for the relations below its support
         # an entry stands for the child P+(universe[k],) of a prefix P: P, the
@@ -346,6 +369,20 @@ class FiniteSubmodel:
             f"FiniteSubmodel(|universe|={len(self.universe)}, "
             f"max_index={self.max_index}, worlds={len(self.worlds)})"
         )
+
+
+# the worlds of a session's fragment come back in fragment after fragment:
+# the 117 benchmark sessions of seed 3111 enumerate 84 distinct worlds, and
+# those of seeds 1, 2, 7 and 42 enumerate 83-87, of which 80-83 are among
+# the 84; all five seeds together hold 90. The bound keeps at most 4,096
+# worlds alive, each with its text once `render_dot` has drawn it; a larger
+# fragment evicts, and the evicted worlds are built again when next met
+@lru_cache(maxsize=1 << 12)
+def _world(coords: tuple[Ordinal, ...]) -> Point:
+    """The fragment world with these coordinates, already canonical and
+    valid: one Point per coordinate tuple while the memo keeps it, so every
+    fragment that holds the world shares it, and its text."""
+    return Point._from_checked(coords)
 
 
 def enumerate_submodel(universe: Iterable[Ordinal], max_index: int) -> FiniteSubmodel:
@@ -466,7 +503,8 @@ def validity_check(f: fm.Formula, m: FiniteSubmodel) -> ForcingResult:
 
 # the kripke benchmark's fragments hold 37 distinct universe elements, so
 # the memo never evicts there; the bound only keeps a long-running process
-# from growing it without limit
+# from growing it without limit. A world keeps its own text once drawn, so
+# this memo serves only the worlds `render_dot` draws for the first time
 @lru_cache(maxsize=1 << 12)
 def _coordinate_text(u: Ordinal) -> str:
     """print_ordinal(u), taken once per distinct universe element; ordinals
@@ -504,11 +542,15 @@ def render_dot(
             raise PointNotInModelError(f"label {label!r}: {p} is not a world of {m!r}")
         named[m._index[p.coords]] = _dot_escaped(label)
     lines = ["digraph ignatiev {", "  node [shape=box];"]
-    # each world's name is formatted once, and print_point of each world
-    # comes from each universe element's text
+    # each world's name is formatted once, and each world's text is joined
+    # from its coordinates' texts on its first drawing and kept on the world
     names = [f"n{i}" for i in range(len(m.worlds))]
     for i, p in enumerate(m.worlds):
-        text = "<" + ", ".join(map(_coordinate_text, p.coords)) + ">"
+        try:
+            text = p._text
+        except AttributeError:
+            text = "<" + ", ".join(map(_coordinate_text, p.coords)) + ">"
+            _set_text(p, text)
         if i in named:
             text = f"{named[i]}\\n{text}"
         lines.append(f'  {names[i]} [label="{text}"];')

@@ -238,7 +238,11 @@ def normalize(t: TheoryPresentation) -> Spectrum:
     """
     coords = []
     for n, w in t.entries:
-        ranks = w.ranks
+        # the slot itself; the property fills it on a worm's first read
+        try:
+            ranks = w._rank_table
+        except AttributeError:
+            ranks = w.ranks
         x = ranks[n] if n < len(ranks) else ZERO
         if x.terms:
             coords += [ZERO] * (n - len(coords)) + [x]

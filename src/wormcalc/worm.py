@@ -15,7 +15,7 @@ from it: its rank table, and the formula `formula.formula_of_worm` builds,
 each kept in a slot for as long as the worm lives.
 
 A worm's ranks at all levels form one table, taken in one sweep from the
-top letter down on the first read of its `ranks` slot: going down a level
+top letter down on the first read of `ranks`: going down a level
 costs one w-power step, o(up A) = -1 + w^o(A), not a new tower, and
 nothing recurses: the one-letter worm k builds k ordinals, and every worm
 ranks in constant stack. Ordinals are hash-consed too, so equal blocks, in
@@ -23,6 +23,13 @@ one worm or in two, rank to one object and compare without descending the
 towers. The table is not filled when a worm is built, since most worms
 that `worm_of_ordinal` and `head` build are never ranked, and a long worm's
 sweep costs far more than its build.
+
+`Worm.ranks` is a property over the private `_rank_table` slot, and `Worm`
+has no `__getattr__` hook, so every attribute read of a worm takes
+CPython's specialised path. The property fills the slot on its first read;
+the hot readers, `ignatiev.forces_worm` and `spectrum.normalize`, read the
+slot inside `try`/`except AttributeError`, which costs nothing on the hit,
+and fall back to the property only while it is empty.
 
 `parse_worm` parses each distinct text once per process, from a bounded
 memo that keeps its worm, and so that worm's rank table, alive.
@@ -51,12 +58,9 @@ __all__ = [
 class Worm(Interned):
     __slots__ = {
         "letters": None,
-        "ranks": """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
-
-        The rank table `ordinal_of` reads, swept (`_ranks`) on the first
-        read and kept in this slot while the worm lives; `normalize` and
-        `forces_worm` read the slot directly. It is not a field, so repr
-        and the intern key see only the letters.""",
+        "_rank_table": """The rank table `ranks` reads: swept (`_ranks`) on its first
+        read and kept in this slot while the worm lives. It is not a field,
+        so repr and the intern key see only the letters.""",
         "formula": """The worm as a formula, kept here by `formula.formula_of_worm`.""",
     }
     __match_args__ = ("letters",)
@@ -69,15 +73,20 @@ class Worm(Interned):
             require_natural(letter, "letter")
         return cls._from_checked(letters)
 
-    def __getattr__(self, name: str):
-        # reached only when the ordinary lookup fails: for `ranks`, until the
-        # first read fills its slot. A property would cost a Python call on
-        # every read, and `forces_worm` reads the ranks at every world
-        if name != "ranks":
-            raise AttributeError(f"'Worm' object has no attribute {name!r}")
-        ranks = _ranks(self.letters)
-        _set_ranks(self, ranks)
-        return ranks
+    @property
+    def ranks(self) -> tuple[Ordinal, ...]:
+        """ordinal_of(self, n) for n = 0 .. max letter + 1; every rank above is 0.
+
+        Swept on the first read and kept for the worm's life, so every read
+        returns the one table. The hot readers, `forces_worm` and
+        `normalize`, read the `_rank_table` slot directly and come here only
+        while it is empty."""
+        try:
+            return self._rank_table
+        except AttributeError:
+            ranks = _ranks(self.letters)
+            _set_rank_table(self, ranks)
+            return ranks
 
     def __str__(self) -> str:
         return print_worm(self)
@@ -86,7 +95,7 @@ class Worm(Interned):
         return f"Worm({print_worm(self)!r})"
 
 
-_set_ranks = Worm.ranks.__set__
+_set_rank_table = Worm._rank_table.__set__
 
 TOP = Worm()
 
@@ -154,7 +163,7 @@ def ordinal_of(a: Worm, level: int = 0) -> Ordinal:
     around a 0-letter as B0A is worth rank(A) + 1 + rank(B); and shifting
     all letters up by n applies the n-th hyperexponential. At level n the
     rank only sees the level-n head, read with n in the part of 0. Every
-    level is read from the worm's one rank table, its `ranks` slot; past the
+    level is read from the worm's one rank table, `ranks`; past the
     top letter the head is empty and the rank is 0.
     """
     ranks = a.ranks
@@ -209,7 +218,7 @@ def parse_worm(text: str) -> Worm:
     """The worm a text spells, in either form, around optional whitespace.
 
     Each distinct text is parsed once per process, from a bounded memo
-    that keeps the one interned worm alive, so its `ranks` slot is filled
+    that keeps the one interned worm alive, so its rank table is filled
     on its first read and serves every later parse of that text. A text
     that fails to parse keeps nothing, and a non-string is refused.
     """

@@ -158,6 +158,15 @@ def test_hash_consing_lives_in_parsing_alone():
             assert "__weakref__" not in path.read_text(encoding="utf-8"), path.name
 
 
+def test_value_types_keep_the_fast_attribute_path():
+    # a __getattr__ or __getattribute__ on a value type sends every
+    # attribute read of its values down CPython's unspecialised path; a slot
+    # filled on its first read is a property, and its hot readers read the
+    # slot inside try/except AttributeError
+    for cls in value_types():
+        assert not {"__getattr__", "__getattribute__"} & set(vars(cls)), cls
+
+
 def test_one_build_path_for_every_value():
     # each value type's public constructor is its __new__, and every build
     # past its checks goes through Value._from_checked or, for a hash-consed

@@ -44,11 +44,12 @@ from wormcalc.ignatiev import (
     validity_check,
 )
 from wormcalc.ordinal import ONE, ZERO, compare, from_int, last_exponent, omega_power, parse_ordinal
-from wormcalc.spectrum import Spectrum
+from wormcalc.spectrum import Spectrum, TheoryPresentation, normalize
 from wormcalc.worm import TOP, Worm, head, ordinal_of, parse_worm, remainder
 
 W = parse_ordinal("w")
 W_TO_W = parse_ordinal("w^w")
+GOLDEN = Path(__file__).parent / "golden"
 ISIGMA1 = Point.of([W_TO_W, W, from_int(1)])
 PRA = Point.of([W_TO_W, W, ZERO])
 
@@ -583,6 +584,25 @@ def test_worm_ranks_are_taken_once_per_worm(monkeypatch):
     assert values == {False, True}
 
 
+def test_hot_readers_fill_an_unranked_worms_table_once(monkeypatch):
+    # forces_worm and normalize read the rank slot itself, and on a worm
+    # never ranked fall back to the `ranks` property, which sweeps once and
+    # keeps the one table that every later read returns
+    swept, sweep = [], worm._ranks
+    monkeypatch.setattr(worm, "_ranks", lambda letters: swept.append(letters) or sweep(letters))
+    a, b = Worm((17, 0, 13, 2)), Worm((19, 1, 0, 11))
+    for fresh in (a, b):
+        with pytest.raises(AttributeError):
+            fresh._rank_table
+    m = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
+    assert [forces_worm(p, a) for p in m.worlds] == [rank_criterion(p, a) for p in m.worlds]
+    assert swept == [a.letters]
+    assert normalize(TheoryPresentation(((0, b), (1, b)))) == Spectrum(least_world(b.ranks[:2]))
+    assert swept == [a.letters, b.letters]
+    assert a.ranks is a.ranks and b.ranks is b._rank_table
+    assert swept == [a.letters, b.letters]
+
+
 def test_head_remainder_forcing_semantics():
     worms = samples.all_worms(4, 2)
     points = [min_point_for_worm(a) for a in samples.all_worms(3, 2)]
@@ -736,6 +756,48 @@ def test_render_dot_deterministic():
     m = enumerate_submodel([W_TO_W, ZERO, W, from_int(1)], 2)
     again = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
     assert render_dot(m) == render_dot(again)
+
+
+def test_fragments_share_one_point_per_world():
+    # the worlds of a fragment come from one memo keyed by their coordinates,
+    # so two fragments whose universes meet hold one Point for each world
+    # both have
+    m = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
+    other = enumerate_submodel([from_int(2), W], 3)
+    mine = {p.coords: p for p in m.worlds}
+    shared = [q for q in other.worlds if q.coords in mine]
+    assert list(map(print_point, shared)) == ["<0>", "<1>", "<w>", "<w, 1>"]
+    assert all(mine[q.coords] is q for q in shared)
+
+
+def test_a_point_built_elsewhere_is_the_same_world():
+    # sharing is an optimisation: a parsed point, a Point of its own, is the
+    # fragment's world to membership, forcing and render_dot's labels
+    m = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
+    p = parse_point("<w^w, w, 1>")
+    world = next(q for q in m.worlds if q == p)
+    assert world is not p and p in m
+    for text in ("<0>T", "<2>T", "[1]<0>T", "<1><0>T -> <2>T"):
+        f = parse_formula(text)
+        assert forces(m, p, f) is forces(m, world, f)
+    labels = {p: "ISigma1", parse_point("<w^w, w>"): "PRA"}
+    assert render_dot(m, labels=labels) == (GOLDEN / "labeled_fragment_idx2.dot").read_text(encoding="utf-8")
+
+
+def test_kept_world_texts_leave_the_golden_bytes():
+    # a world keeps its text from its first drawing, with a label or
+    # without: in either order the labelled DOT is the golden file, and the
+    # unlabelled one is the golden file without its labels
+    golden = (GOLDEN / "labeled_fragment_idx2.dot").read_text(encoding="utf-8")
+    plain = golden.replace("ISigma1\\n", "").replace("PRA\\n", "")
+    labels = {ISIGMA1: "ISigma1", PRA: "PRA"}
+    for order in ((None, labels), (labels, None)):
+        ignatiev._world.cache_clear()
+        m = enumerate_submodel([ZERO, from_int(1), W, W_TO_W], 2)
+        assert not any(hasattr(p, "_text") for p in m.worlds)
+        for names in order:
+            assert render_dot(m, labels=names) == (golden if names else plain)
+        assert all(p._text == print_point(p) for p in m.worlds)
 
 
 # --- structural relations against their definitions ----------------------
